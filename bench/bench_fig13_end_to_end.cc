@@ -189,15 +189,19 @@ void RunPipelineMode(JsonReport* report) {
   std::printf("%-28s %12s %13s %10s\n", "schedule", "duration", "rate",
               "rows");
 
+  // Both rows run the executor; one partition in flight at a time is the
+  // serial schedule, so the rows compare schedules, not engines.
   double serial_seconds = 0;
   Table serial_table;
   {
     DropFileCache(path);
-    StreamingOptions options;
+    exec::PipelineExecutor executor;
+    exec::ExecOptions options;
     options.base = base;
     options.partition_size = partition_size;
+    options.max_inflight_partitions = 1;
     Stopwatch watch;
-    auto result = StreamingParser::ParseFile(path, options);
+    auto result = executor.IngestFile(path, options);
     if (!result.ok()) {
       std::printf("serial ingest failed: %s\n",
                   result.status().ToString().c_str());

@@ -12,8 +12,10 @@
 #   scripts/check.sh kernels    # just the per-kernel-variant sweep
 #   scripts/check.sh faults     # fault-injection: chaos/robustness suites
 #                               # under ASan+UBSan across a fixed seed matrix
-#   scripts/check.sh pipeline   # pipelined-executor differential suite
-#                               # (exec/Reader/chaos) under TSan
+#   scripts/check.sh pipeline   # every entry point that runs on the
+#                               # pipelined executor (exec, Reader,
+#                               # streaming, bulk loader, dialects, chaos)
+#                               # under TSan
 #   scripts/check.sh transpose  # full suite per TransposeMode
 #                               # (PARPARAW_TRANSPOSE_MODE) plus the
 #                               # symbol-sort vs field-gather differential
@@ -122,16 +124,18 @@ run_pipeline() {
     -DPARPARAW_SANITIZE=thread
   echo "=== pipeline: build ==="
   cmake --build build-tsan -j "${JOBS}"
-  # The executor's differential suite (pipelined vs serial, bit-identical
-  # across kernels and error policies), the Reader facade on top of it,
-  # and the chaos sweep — whose schedule space now includes faults at
-  # every exec queue hand-off — all under the thread sanitizer, since the
-  # pipeline is the most schedule-sensitive code in the repo.
+  # The executor's differential suite (bit-identical to a whole-input
+  # Parser::Parse and the sequential oracle across kernels and error
+  # policies), every entry point that runs on the executor (Reader,
+  # StreamingParser, BulkLoader, over-budget dialects), and the chaos
+  # sweep — whose schedule space includes faults at every exec morsel
+  # hand-off — all under the thread sanitizer, since the pipeline is the
+  # most schedule-sensitive code in the repo.
   echo "=== pipeline: executor differential + chaos under TSan ==="
   PARPARAW_CHAOS_SCHEDULES=400 \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-      -R 'Exec|Reader|Validate|Chaos'
+      -R 'Exec|Reader|Validate|Chaos|Streaming|BulkLoader|DialectEquivalence'
 }
 
 run_kernels() {

@@ -74,11 +74,6 @@ Reader&& Reader::WithStatistics(bool enabled) && {
   return std::move(*this);
 }
 
-Reader&& Reader::Pipelined(bool enabled) && {
-  options_.pipelined = enabled;
-  return std::move(*this);
-}
-
 Result<Table> Reader::Read() && {
   LoadOptions options = options_;
   options.collect_statistics = false;  // Read() returns only the table
@@ -96,28 +91,18 @@ Result<LoadResult> Reader::ReadDetailed() && {
 
 Result<exec::IngestStats> Reader::ReadStream(
     const std::function<Status(Table&&)>& sink) && {
-  LoadResult resolution;
-  std::string file_sample;
+  FileHead head;
   std::string_view sample = buffer_;
-  bool truncated = false;
   if (from_file_) {
-    FileChunkReader head;
-    PARPARAW_RETURN_NOT_OK_CTX(head.Open(path_), "reader.open");
-    if (head.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          head.ReadNext(std::min<size_t>(
-                            static_cast<size_t>(head.file_size()),
-                            256 * 1024),
-                        &file_sample, &eof),
-          "reader.sample");
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    PARPARAW_ASSIGN_OR_RETURN_CTX(
+        head, ReadFileHead(path_, BulkLoader::kHeadSampleBytes),
+        "reader.sample");
+    sample = head.bytes;
   }
+  LoadResult resolution;
   PARPARAW_ASSIGN_OR_RETURN(
       ParseOptions base,
-      BulkLoader::ResolveBaseOptions(sample, truncated, options_,
+      BulkLoader::ResolveBaseOptions(sample, head.truncated, options_,
                                      &resolution));
 
   exec::PipelineExecutor executor;
@@ -132,29 +117,20 @@ Result<exec::IngestStats> Reader::ReadStream(
 }
 
 Result<plan::ParsePlan> Reader::Explain() && {
-  LoadResult resolution;
-  std::string file_sample;
+  FileHead head;
   std::string_view sample = buffer_;
-  bool truncated = false;
   if (from_file_) {
-    FileChunkReader head;
-    PARPARAW_RETURN_NOT_OK_CTX(head.Open(path_), "reader.open");
-    if (head.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          head.ReadNext(
-              std::min<size_t>(static_cast<size_t>(head.file_size()),
-                               std::max<size_t>(256 * 1024,
-                                                options_.tuning.sample_budget)),
-              &file_sample, &eof),
-          "reader.sample");
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    PARPARAW_ASSIGN_OR_RETURN_CTX(
+        head,
+        ReadFileHead(path_, std::max(BulkLoader::kHeadSampleBytes,
+                                     options_.tuning.sample_budget)),
+        "reader.sample");
+    sample = head.bytes;
   }
+  LoadResult resolution;
   PARPARAW_ASSIGN_OR_RETURN(
       ParseOptions base,
-      BulkLoader::ResolveBaseOptions(sample, truncated, options_,
+      BulkLoader::ResolveBaseOptions(sample, head.truncated, options_,
                                      &resolution));
   PARPARAW_RETURN_NOT_OK(base.Validate());
   // The planner wants the packed format a real parse would run with; an
@@ -163,7 +139,7 @@ Result<plan::ParsePlan> Reader::Explain() && {
   PARPARAW_ASSIGN_OR_RETURN(std::optional<dialect::CompiledDialect> fallback,
                             dialect::ResolveParseDialect(&base));
   if (fallback.has_value()) return plan::StaticPlan(base);
-  return plan::PlanStream(sample, truncated, &base);
+  return plan::PlanStream(sample, head.truncated, &base);
 }
 
 }  // namespace parparaw

@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/options.h"
 #include "core/pipeline_state.h"
@@ -27,7 +28,7 @@ namespace parparaw {
 ///   Convert    CSS indexing + typed value generation + error policy.
 ///
 /// Parser::Parse runs the three stages back to back on one thread; the
-/// executor runs each stage on its own thread with partitions flowing
+/// executor runs each stage as its own morsel with partitions flowing
 /// between them, which is exactly why the split exists. Stage methods
 /// must be called in order, each at most once. The instance must not
 /// move between Scan and TakeOutput (the pipeline state points into it),
@@ -43,9 +44,17 @@ class StagedParse {
   /// row-skipped) inputs complete immediately — see finished().
   Status Scan(std::string_view input, const ParseOptions& options);
 
-  /// True when Scan already produced the final output (empty input):
-  /// callers skip Partition/Convert and go straight to TakeOutput().
+  /// True when Scan already produced the final output (empty input), or
+  /// an output was adopted: callers skip Partition/Convert and go
+  /// straight to TakeOutput().
   bool finished() const { return finished_; }
+
+  /// Takes a finished output produced outside the stages (the scalar
+  /// dialect fallback) in place of Scan.
+  void Adopt(ParseOutput output) {
+    output_ = std::move(output);
+    finished_ = true;
+  }
 
   /// Byte offset (in the caller's original buffer) where the unterminated
   /// trailing record starts. Valid after Scan when

@@ -48,6 +48,8 @@ struct PartitionTask {
   /// Bytes this partition consumed from the stream (excludes the carry,
   /// already counted when its partition was consumed).
   int64_t partition_bytes = 0;
+  /// Bytes this partition's scan left for the next one.
+  int64_t carry_bytes = 0;
   bool is_last = false;
   StagedParse parse;
 };
@@ -61,6 +63,7 @@ struct ConvertedPartition {
   /// are re-based against it at delivery).
   int64_t buffer_base = 0;
   int64_t partition_bytes = 0;
+  int64_t carry_bytes = 0;
 };
 
 /// Sequential partition source, either disk-backed or an in-memory view.
@@ -88,16 +91,10 @@ class FileSource final : public ChunkSource {
 
   Status SampleHead(size_t max_bytes, std::string* sample,
                     bool* truncated) override {
-    // A throwaway reader keeps the streaming reader's position at byte 0.
-    FileChunkReader sampler;
-    PARPARAW_RETURN_NOT_OK(sampler.Open(path_));
-    sample->clear();
-    if (sampler.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK(sampler.ReadNext(max_bytes, sample, &eof));
-    }
-    *truncated =
-        static_cast<int64_t>(sample->size()) < sampler.file_size();
+    // A separate read keeps the streaming reader's position at byte 0.
+    PARPARAW_ASSIGN_OR_RETURN(FileHead head, ReadFileHead(path_, max_bytes));
+    *sample = std::move(head.bytes);
+    *truncated = head.truncated;
     return Status::OK();
   }
 
@@ -191,30 +188,20 @@ class PipelineRun {
       return Status::Invalid("partition size must be positive");
     }
 
-    // Compile a user dialect once per ingest, not once per partition. The
-    // pipelined stages need the packed Dfa, so an over-budget dialect is a
-    // clean refusal here; Parser::Parse and StreamingParser carry the
-    // scalar fallback.
+    // Compile a user dialect once per ingest, not once per partition. An
+    // over-budget dialect keeps its compiled automaton for the scalar
+    // walk the scan morsels run instead of the staged pipeline.
     base_ = options_.base;
-    {
-      PARPARAW_ASSIGN_OR_RETURN(
-          std::optional<dialect::CompiledDialect> fallback,
-          dialect::ResolveParseDialect(&base_));
-      if (fallback.has_value()) {
-        return Status::Invalid(
-            "dialect '" + fallback->spec.name + "' needs " +
-            std::to_string(fallback->minimized_states) +
-            " DFA states, over the SIMD register budget; the pipelined "
-            "executor cannot run its scalar fallback — use Parser::Parse "
-            "or StreamingParser");
-      }
-    }
+    PARPARAW_ASSIGN_OR_RETURN(fallback_,
+                              dialect::ResolveParseDialect(&base_));
 
     // Plan once for the whole ingest from the stream's head sample; every
     // partition then parses under the pinned knobs. An I/O failure on the
     // sample is never fatal under kAuto — the static defaults are always
-    // correct.
-    {
+    // correct. The scalar dialect fallback has no plannable knobs.
+    if (fallback_.has_value()) {
+      result_.plan = plan::StaticPlan(base_);
+    } else {
       std::string sample;
       bool truncated = false;
       Status sampled = Status::OK();
@@ -505,7 +492,15 @@ class PipelineRun {
     // partition size and admission are already clamped to fit, so the
     // per-partition parse must not re-apply the monolithic refusal.
     po.memory_budget = 0;
-    const Status scanned = task->parse.Scan(task->buffer, po);
+    Status scanned;
+    if (fallback_.has_value()) {
+      Result<ParseOutput> walked =
+          dialect::FallbackParse(task->buffer, *fallback_, po);
+      scanned = walked.status();
+      if (scanned.ok()) task->parse.Adopt(std::move(*walked));
+    } else {
+      scanned = task->parse.Scan(task->buffer, po);
+    }
     if (!scanned.ok()) {
       Fail(scanned.WithContext("exec.scan"));
       return;
@@ -524,6 +519,7 @@ class PipelineRun {
     } else {
       carry_.clear();
     }
+    task->carry_bytes = static_cast<int64_t>(carry_.size());
     stream_consumed_ += task->partition_bytes;
     first_ = false;
     if (metrics_ != nullptr && metrics_->enabled()) {
@@ -618,6 +614,7 @@ class PipelineRun {
     done.output = task->parse.TakeOutput();
     done.buffer_base = task->buffer_base;
     done.partition_bytes = task->partition_bytes;
+    done.carry_bytes = task->carry_bytes;
     if (metrics_ != nullptr && metrics_->enabled()) {
       obs::RecordMillis(metrics_, "exec.convert_us",
                         watch.ElapsedMillis());
@@ -667,7 +664,7 @@ class PipelineRun {
     ParseOutput& out = part.output;
     // Re-base quarantined records from partition coordinates to stream
     // coordinates (rows index the concatenated table, spans the logical
-    // byte stream) — identical to the serial streaming path.
+    // byte stream).
     for (robust::QuarantineEntry& entry : out.quarantine.entries()) {
       entry.row += rows_accumulated_;
       entry.begin += part.buffer_base;
@@ -679,6 +676,13 @@ class PipelineRun {
     rows_accumulated_ += out.table.num_rows;
     ++result_.stats.num_partitions;
     result_.stats.bytes += part.partition_bytes;
+    PartitionFacts facts;
+    facts.bytes = part.partition_bytes;
+    facts.carry_bytes = part.carry_bytes;
+    facts.output_bytes = out.table.TotalBufferBytes();
+    facts.parse_ms = out.timings.TotalMs();
+    facts.work = out.work;
+    result_.partitions.push_back(facts);
     if (sink_ != nullptr) {
       const Status sunk = (*sink_)(std::move(out.table));
       if (!sunk.ok()) {
@@ -704,6 +708,9 @@ class PipelineRun {
   const ExecOptions& options_;
   /// options_.base with any dialect resolved into a packed format.
   ParseOptions base_;
+  /// Set when the dialect is over the SIMD register budget: partitions
+  /// then parse on its scalar automaton walk.
+  std::optional<dialect::CompiledDialect> fallback_;
   const PartitionSink* sink_;
   obs::MetricsRegistry* metrics_;
 

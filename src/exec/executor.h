@@ -33,12 +33,6 @@ struct ExecOptions {
   /// never refuses), otherwise one partition per stage (4).
   int max_inflight_partitions = 0;
 
-  /// Unused since the morsel-driven scheduler replaced the inter-stage
-  /// queues (kept so existing call sites keep compiling). Backpressure is
-  /// now solely the admission controller's: max_inflight_partitions
-  /// bounds everything resident across scan/sort/convert.
-  size_t queue_capacity = 2;
-
   /// Test hook invoked at each stage's entry for each partition:
   /// stage 0 = read, 1 = scan, 2 = sort, 3 = convert. Used by the test
   /// suite to throttle a stage (backpressure) or trigger cancellation at
@@ -72,14 +66,29 @@ struct IngestStats {
   double convert_seconds = 0;
 };
 
-/// Result of a pipelined ingest. Mirrors StreamingResult's data surface
-/// (the executor is the *real* counterpart of the modelled Fig. 7
-/// schedule, so there is no modelled timeline here).
+/// What one partition contributed, recorded at delivery in stream order:
+/// the per-partition inputs of StreamingParser's modelled Fig. 7 timeline.
+struct PartitionFacts {
+  /// Stream bytes the partition consumed (the carry-over it started with
+  /// was counted by the partition that consumed it).
+  int64_t bytes = 0;
+  /// Bytes carried over into the next partition after this one's scan.
+  int64_t carry_bytes = 0;
+  /// Buffer bytes of the partition's output table.
+  int64_t output_bytes = 0;
+  /// Measured parse time of the partition (StepTimings::TotalMs).
+  double parse_ms = 0;
+  WorkCounters work;
+};
+
+/// Result of a pipelined ingest. StreamingResult is this plus the
+/// modelled Fig. 7 schedule derived from `partitions`.
 struct IngestResult {
   Table table;
   /// Under ErrorPolicy::kQuarantine: malformed records across all
-  /// partitions, rows/spans stream-relative exactly as for
-  /// StreamingParser.
+  /// partitions. Entry rows and byte spans are stream-relative (rows
+  /// index `table`, spans the logical byte stream); record_index stays
+  /// partition-local.
   robust::QuarantineTable quarantine;
   /// Kernel level every partition's context/bitmap passes ran with.
   simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
@@ -90,6 +99,8 @@ struct IngestResult {
   StepTimings timings;
   WorkCounters work;
   IngestStats stats;
+  /// One entry per delivered partition, in stream order.
+  std::vector<PartitionFacts> partitions;
 };
 
 /// Consumes per-partition tables in stream order (bounded-memory
@@ -126,11 +137,15 @@ using PartitionSink = std::function<Status(Table&&)>;
 /// Several files can be ingested concurrently through one executor; they
 /// share the admission controller, so the budget holds globally.
 ///
+/// Dialects over the SIMD register budget run the scalar automaton walk
+/// (dialect::FallbackParse) in the scan morsel under the same carry-over
+/// protocol; their sort and convert morsels have nothing left to do.
+///
 /// Cancellation is cooperative: Cancel() aborts every in-flight ingest
 /// at its next stage boundary with StatusCode::kCancelled. Faults from
 /// the failpoint registry (exec.queue.*.push/pop, exec.read,
 /// exec.ingest) surface as clean errors; the chaos suite asserts
-/// clean-error-or-bit-identical against the serial path.
+/// clean-error-or-bit-identical against a fault-free run.
 class PipelineExecutor {
  public:
   PipelineExecutor() = default;
@@ -173,8 +188,8 @@ class PipelineExecutor {
       int max_concurrent_files = 2);
 
   /// Cooperatively cancels every in-flight (and future) ingest on this
-  /// executor: stages stop at their next boundary, queues unblock, and
-  /// the ingest returns kCancelled. One-shot — construct a fresh
+  /// executor: stages stop at their next boundary, admission waits
+  /// wake, and the ingest returns kCancelled. One-shot — construct a fresh
   /// executor to ingest again.
   void Cancel();
 

@@ -1,5 +1,6 @@
 #include "io/file.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -109,6 +110,21 @@ Status WriteStringToFile(const std::string& path, std::string_view contents) {
     return Status::IoError(ErrnoMessage("error closing '" + path + "'"));
   }
   return Status::OK();
+}
+
+Result<FileHead> ReadFileHead(const std::string& path, size_t max_bytes) {
+  FileChunkReader reader;
+  PARPARAW_RETURN_NOT_OK(reader.Open(path));
+  FileHead head;
+  head.file_size = reader.file_size();
+  if (head.file_size > 0) {
+    bool eof = false;
+    PARPARAW_RETURN_NOT_OK(reader.ReadNext(
+        std::min<size_t>(static_cast<size_t>(head.file_size), max_bytes),
+        &head.bytes, &eof));
+  }
+  head.truncated = static_cast<int64_t>(head.bytes.size()) < head.file_size;
+  return head;
 }
 
 FileChunkReader::~FileChunkReader() {

@@ -14,11 +14,23 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// Writes (truncating) `contents` to `path`.
 Status WriteStringToFile(const std::string& path, std::string_view contents);
 
-/// \brief Sequential chunk reader feeding the streaming parser from disk.
+/// The first bytes of a file, as sampled for dialect, type and plan
+/// resolution before the file is streamed.
+struct FileHead {
+  /// The first min(file_size, max_bytes) bytes.
+  std::string bytes;
+  int64_t file_size = 0;
+  /// True when the file continues past `bytes`.
+  bool truncated = false;
+};
+
+/// Reads the head of `path` without keeping the file open.
+Result<FileHead> ReadFileHead(const std::string& path, size_t max_bytes);
+
+/// \brief Sequential chunk reader feeding the pipelined executor from disk.
 ///
 /// Reads fixed-size partitions; the caller prepends its own carry-over
-/// (the streaming parser does this internally when given whole buffers —
-/// this reader exists so inputs larger than memory can be streamed).
+/// (this reader exists so inputs larger than memory can be streamed).
 class FileChunkReader {
  public:
   FileChunkReader() = default;

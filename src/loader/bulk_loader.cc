@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "core/parser.h"
 #include "exec/executor.h"
 #include "io/file.h"
 #include "robust/failpoint.h"
-#include "robust/resource_guard.h"
-#include "stream/streaming_parser.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -144,14 +143,20 @@ Result<ParseOptions> ResolveBase(std::string_view sample,
   return base;
 }
 
-// Shared tail of every load path: table, quarantine, rejects, statistics.
-Result<LoadResult> FinishLoad(Table table, robust::QuarantineTable quarantine,
-                              const StepTimings& timings,
+exec::ExecOptions ExecFor(ParseOptions base, const LoadOptions& options) {
+  exec::ExecOptions exec_options;
+  exec_options.base = std::move(base);
+  exec_options.partition_size = options.partition_size;
+  return exec_options;
+}
+
+// Shared tail of both load paths: table, quarantine, rejects, statistics.
+Result<LoadResult> FinishLoad(exec::IngestResult ingested,
                               const LoadOptions& options,
                               const Stopwatch& watch, LoadResult result) {
-  result.table = std::move(table);
-  result.quarantine = std::move(quarantine);
-  result.timings = timings;
+  result.table = std::move(ingested.table);
+  result.quarantine = std::move(ingested.quarantine);
+  result.timings = ingested.timings;
   result.rows_loaded = result.table.num_rows;
   result.rows_rejected = result.table.NumRejected();
 
@@ -163,40 +168,6 @@ Result<LoadResult> FinishLoad(Table table, robust::QuarantineTable quarantine,
   }
   result.seconds = watch.ElapsedSeconds();
   return result;
-}
-
-// Disk-streaming load for files whose monolithic parse would not fit the
-// memory budget: only the head sample plus one (budget-clamped) partition
-// and its carry-over are ever resident.
-Result<LoadResult> LoadFileStreaming(const std::string& path,
-                                     int64_t file_size,
-                                     const LoadOptions& options) {
-  Stopwatch watch;
-  LoadResult result;
-  result.input_bytes = file_size;
-
-  FileChunkReader reader;
-  PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-  std::string sample;
-  bool eof = false;
-  PARPARAW_RETURN_NOT_OK_CTX(
-      reader.ReadNext(std::min<size_t>(static_cast<size_t>(file_size),
-                                       256 * 1024),
-                      &sample, &eof),
-      "loader.sample");
-  PARPARAW_ASSIGN_OR_RETURN(
-      ParseOptions base,
-      ResolveBase(sample, static_cast<int64_t>(sample.size()) < file_size,
-                  options, &result));
-
-  StreamingOptions streaming;
-  streaming.base = base;
-  streaming.partition_size = options.partition_size;
-  PARPARAW_ASSIGN_OR_RETURN_CTX(
-      StreamingResult streamed, StreamingParser::ParseFile(path, streaming),
-      "loader.stream");
-  return FinishLoad(std::move(streamed.table), std::move(streamed.quarantine),
-                    streamed.timings, options, watch, std::move(result));
 }
 
 }  // namespace
@@ -247,88 +218,37 @@ Result<LoadResult> BulkLoader::LoadBuffer(std::string_view input,
       ParseOptions base,
       ResolveBase(input, /*sample_truncated=*/false, options, &result));
 
-  if (options.pipelined) {
-    exec::PipelineExecutor executor;
-    exec::ExecOptions exec_options;
-    exec_options.base = base;
-    exec_options.partition_size = options.partition_size;
-    PARPARAW_ASSIGN_OR_RETURN_CTX(
-        exec::IngestResult ingested,
-        executor.IngestBuffer(input, exec_options), "loader.exec");
-    return FinishLoad(std::move(ingested.table),
-                      std::move(ingested.quarantine), ingested.timings,
-                      options, watch, std::move(result));
-  }
-
-  StreamingOptions streaming;
-  streaming.base = base;
-  streaming.partition_size = options.partition_size;
-  PARPARAW_ASSIGN_OR_RETURN_CTX(StreamingResult streamed,
-                                StreamingParser::Parse(input, streaming),
-                                "loader.stream");
-  return FinishLoad(std::move(streamed.table), std::move(streamed.quarantine),
-                    streamed.timings, options, watch, std::move(result));
+  exec::PipelineExecutor executor;
+  PARPARAW_ASSIGN_OR_RETURN_CTX(
+      exec::IngestResult ingested,
+      executor.IngestBuffer(input, ExecFor(std::move(base), options)),
+      "loader.exec");
+  return FinishLoad(std::move(ingested), options, watch, std::move(result));
 }
 
 Result<LoadResult> BulkLoader::LoadFile(const std::string& path,
                                         const LoadOptions& options) {
   PARPARAW_FAILPOINT("loader.load");
-  if (options.pipelined) {
-    // The pipelined engine reads the file partition by partition and its
-    // admission controller enforces the memory budget, so there is no
-    // whole-file materialisation and no separate degraded path: only the
-    // head sample (dialect + type resolution) is read twice.
-    Stopwatch watch;
-    LoadResult result;
-    FileChunkReader reader;
-    PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-    result.input_bytes = reader.file_size();
-    std::string sample;
-    if (reader.file_size() > 0) {
-      bool eof = false;
-      PARPARAW_RETURN_NOT_OK_CTX(
-          reader.ReadNext(std::min<size_t>(
-                              static_cast<size_t>(reader.file_size()),
-                              256 * 1024),
-                          &sample, &eof),
-          "loader.sample");
-    }
-    PARPARAW_ASSIGN_OR_RETURN(
-        ParseOptions base,
-        ResolveBase(sample,
-                    static_cast<int64_t>(sample.size()) < result.input_bytes,
-                    options, &result));
+  // The executor reads the file partition by partition and its admission
+  // controller enforces the memory budget, so the file is never
+  // materialised: only the head sample (dialect + type resolution) is
+  // read twice.
+  Stopwatch watch;
+  LoadResult result;
+  PARPARAW_ASSIGN_OR_RETURN_CTX(
+      FileHead head, ReadFileHead(path, BulkLoader::kHeadSampleBytes),
+      "loader.sample");
+  result.input_bytes = head.file_size;
+  PARPARAW_ASSIGN_OR_RETURN(
+      ParseOptions base,
+      ResolveBase(head.bytes, head.truncated, options, &result));
 
-    exec::PipelineExecutor executor;
-    exec::ExecOptions exec_options;
-    exec_options.base = base;
-    exec_options.partition_size = options.partition_size;
-    PARPARAW_ASSIGN_OR_RETURN_CTX(exec::IngestResult ingested,
-                                  executor.IngestFile(path, exec_options),
-                                  "loader.exec");
-    return FinishLoad(std::move(ingested.table),
-                      std::move(ingested.quarantine), ingested.timings,
-                      options, watch, std::move(result));
-  }
-
-  if (options.memory_budget > 0) {
-    FileChunkReader reader;
-    PARPARAW_RETURN_NOT_OK_CTX(reader.Open(path), "loader.open");
-    // The whole-file parse would not fit: degrade to streaming straight
-    // from disk instead of failing with kResourceExhausted. LoadOptions
-    // carries no transpose mode, so the envelope is the one the resolved
-    // per-partition options will use (the process default).
-    if (robust::EstimateParseMemory(reader.file_size(),
-                                    ParseWorkingSetFactor(ParseOptions{})) >
-        options.memory_budget) {
-      return LoadFileStreaming(path, reader.file_size(), options);
-    }
-  }
-  PARPARAW_ASSIGN_OR_RETURN_CTX(std::string contents, ReadFileToString(path),
-                                "loader.read");
-  LoadOptions serial = options;
-  serial.pipelined = false;
-  return BulkLoader::LoadBuffer(contents, serial);
+  exec::PipelineExecutor executor;
+  PARPARAW_ASSIGN_OR_RETURN_CTX(
+      exec::IngestResult ingested,
+      executor.IngestFile(path, ExecFor(std::move(base), options)),
+      "loader.exec");
+  return FinishLoad(std::move(ingested), options, watch, std::move(result));
 }
 
 }  // namespace parparaw

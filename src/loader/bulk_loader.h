@@ -19,8 +19,8 @@ struct LoadOptions {
   Format format;
   /// A user-defined dialect (src/dialect), compiled at runtime; mutually
   /// exclusive with an explicit format and skips sniffing. Over-budget
-  /// dialects route through the scalar fallback on the serial path and
-  /// are refused by the pipelined executor.
+  /// dialects parse on the scalar automaton walk, partition by partition
+  /// like every other dialect.
   std::optional<dialect::DialectSpec> dialect;
   /// Header handling: -1 = auto (from the sniffer), 0 = no header,
   /// 1 = first row is a header (its names become the column names).
@@ -37,16 +37,11 @@ struct LoadOptions {
   /// What to do with malformed records (see robust/quarantine.h).
   robust::ErrorPolicy error_policy = robust::ErrorPolicy::kNull;
   /// Soft cap on parse working-set bytes; 0 = unlimited. The loader
-  /// degrades instead of failing: partitions shrink to fit, and LoadFile
-  /// switches to a disk-streaming parse (never materialising the whole
-  /// file) when the file itself would blow the budget.
+  /// degrades instead of failing: the executor shrinks partitions until
+  /// one parse fits and admits fewer of them at once (down to one, the
+  /// serial schedule). LoadFile never materialises the whole file.
   int64_t memory_budget = 0;
   ThreadPool* pool = nullptr;
-  /// Run the load through the pipelined execution engine (src/exec):
-  /// partition k's type conversion overlaps k+1's parse and k+2's disk
-  /// read. false = the serial partition-at-a-time path, kept for
-  /// differential testing (both must produce bit-identical tables).
-  bool pipelined = true;
 };
 
 /// Result of a bulk load: the table plus everything an ingest pipeline
@@ -71,8 +66,14 @@ struct LoadResult {
 /// introduction, end to end: dialect sniffing, header/name resolution,
 /// type inference, massively parallel streaming parse with bounded
 /// partition memory, reject accounting, and post-load column statistics.
+/// Both load paths run on the pipelined executor (src/exec): partition
+/// k's type conversion overlaps k+1's parse and k+2's disk read.
 class BulkLoader {
  public:
+  /// Bytes of a file's head that dialect, header and type resolution
+  /// read before the file is streamed.
+  static constexpr size_t kHeadSampleBytes = 256 * 1024;
+
   /// Loads a delimiter-separated file from disk.
   static Result<LoadResult> LoadFile(const std::string& path,
                                      const LoadOptions& options = {});

@@ -613,30 +613,19 @@ bool Server::HandleParse(Connection* conn, const FrameHeader& header,
 
   // Resolve dialect/header/types from the input head, exactly like
   // parparaw::Reader, so responses are bit-identical to a local read.
-  LoadResult resolution;
-  std::string file_sample;
+  FileHead head;
   std::string_view sample = config->rest;
-  bool truncated = false;
   if (from_file) {
-    FileChunkReader head;
-    const Status opened = head.Open(path);
-    if (!opened.ok()) {
-      return SendError(conn, opened.WithContext("serve.open"));
+    Result<FileHead> sampled = ReadFileHead(path, BulkLoader::kHeadSampleBytes);
+    if (!sampled.ok()) {
+      return SendError(conn, sampled.status().WithContext("serve.sample"));
     }
-    if (head.file_size() > 0) {
-      bool eof = false;
-      const Status sampled = head.ReadNext(
-          std::min<size_t>(static_cast<size_t>(head.file_size()), 256 * 1024),
-          &file_sample, &eof);
-      if (!sampled.ok()) {
-        return SendError(conn, sampled.WithContext("serve.sample"));
-      }
-    }
-    sample = file_sample;
-    truncated = static_cast<int64_t>(file_sample.size()) < head.file_size();
+    head = std::move(*sampled);
+    sample = head.bytes;
   }
+  LoadResult resolution;
   Result<ParseOptions> base = BulkLoader::ResolveBaseOptions(
-      sample, truncated, config->load, &resolution);
+      sample, head.truncated, config->load, &resolution);
   if (!base.ok()) {
     return SendError(conn, base.status().WithContext("serve.resolve"));
   }

@@ -1,6 +1,7 @@
 #ifndef PARPARAW_STREAM_STREAMING_PARSER_H_
 #define PARPARAW_STREAM_STREAMING_PARSER_H_
 
+#include <string>
 #include <string_view>
 
 #include "core/options.h"
@@ -38,7 +39,7 @@ struct StreamingResult {
   /// this, exactly as for a monolithic parse.
   robust::QuarantineTable quarantine;
   /// Inner-loop kernel level (src/simd) every partition's context/bitmap
-  /// passes ran with, resolved once from base.kernel at stream start.
+  /// passes ran with, resolved once per stream.
   simd::KernelLevel kernel_level = simd::KernelLevel::kScalar;
   /// The modelled Fig. 7 schedule: overlapped transfer/parse/return.
   StreamingTimeline timeline;
@@ -47,7 +48,7 @@ struct StreamingResult {
   /// Sum of the modelled stage times without any overlap (what a
   /// transfer-then-parse-then-return execution would cost).
   double modeled_serial_seconds = 0;
-  /// Actual CPU wall time spent parsing all partitions.
+  /// Actual CPU wall time of the executor's ingest.
   double wall_seconds = 0;
   int num_partitions = 0;
   StepTimings timings;
@@ -56,19 +57,21 @@ struct StreamingResult {
 
 /// \brief End-to-end streaming parser (§4.4, Fig. 7).
 ///
-/// Splits the input into fixed-size partitions. Each partition is parsed
-/// with the trailing incomplete record excluded; those remainder bytes are
-/// prepended to the next partition as the carry-over, exactly like the
-/// double-buffered GPU pipeline. Transfers are modelled with the PCIe
-/// model and the overlapped schedule is computed by StreamingTimeline.
+/// The input is parsed by exec::PipelineExecutor in fixed-size partitions:
+/// each partition is parsed with the trailing incomplete record excluded,
+/// and those remainder bytes are prepended to the next partition as the
+/// carry-over, exactly like the double-buffered GPU pipeline. From the
+/// executor's per-partition facts this models the transfers with the PCIe
+/// model and computes the overlapped schedule with StreamingTimeline.
 class StreamingParser {
  public:
   static Result<StreamingResult> Parse(std::string_view input,
                                        const StreamingOptions& options);
 
   /// Streams a file from disk partition by partition with bounded memory:
-  /// at any time only one partition plus its carry-over is resident (the
-  /// parsed columnar output still accumulates in memory).
+  /// only the executor's admission-limited partitions and their carry-over
+  /// are resident (the parsed columnar output still accumulates in
+  /// memory).
   static Result<StreamingResult> ParseFile(const std::string& path,
                                            const StreamingOptions& options);
 };

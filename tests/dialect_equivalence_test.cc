@@ -11,7 +11,9 @@
 #include "dialect/dialect.h"
 #include "exec/executor.h"
 #include "json/json_lines.h"
+#include "loader/bulk_loader.h"
 #include "obs/metrics.h"
+#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 // The dialect compiler's correctness story (see docs/dialects.md): every
@@ -21,8 +23,8 @@
 // input, a passing check covers every input. On top of the proof, packed
 // twins are swept differentially (same table bit for bit), and the novel
 // dialects the compiler unlocks — multi-byte record delimiters, backslash
-// escapes, fixed-width fields — are checked scalar vs best-SIMD and serial
-// vs pipelined.
+// escapes, fixed-width fields — are checked scalar vs best-SIMD and
+// whole-input vs pipelined.
 
 namespace parparaw {
 namespace {
@@ -217,8 +219,8 @@ TEST(DialectEquivalenceTest, PackedTwinsParseBitIdenticalToBuiltins) {
 
 // --- the novel dialects the compiler unlocks (ISSUE acceptance) ---
 
-/// Parses `input` under `spec` four ways — scalar vs best-SIMD kernels,
-/// serial Parser vs pipelined executor — and checks all four agree.
+/// Parses `input` under `spec` three ways — scalar vs best-SIMD kernels,
+/// whole-input Parser vs pipelined executor — and checks all agree.
 void ExpectAllPathsAgree(const DialectSpec& spec, const std::string& input,
                          Table* out) {
   ParseOptions scalar;
@@ -242,7 +244,7 @@ void ExpectAllPathsAgree(const DialectSpec& spec, const std::string& input,
   auto exec_result = executor.IngestBuffer(input, pipelined);
   ASSERT_TRUE(exec_result.ok()) << exec_result.status().ToString();
   ASSERT_TRUE(scalar_result->table.Equals(exec_result->table))
-      << spec.name << ": serial vs pipelined";
+      << spec.name << ": whole-input vs pipelined";
 
   if (out != nullptr) *out = std::move(scalar_result->table);
 }
@@ -367,16 +369,70 @@ TEST(DialectEquivalenceTest, OverBudgetDialectFallsBackToScalarWalk) {
   ASSERT_NE(fallback, nullptr);
   EXPECT_GE(fallback->Value(), 1);
 
-  // The pipelined executor has no scalar fallback: it refuses cleanly.
+  // Every entry point runs the same scalar walk, partitioned or not, and
+  // produces the same table bit for bit.
+  Schema schema;
+  schema.AddField(Field("left", DataType::String()));
+  schema.AddField(Field("right", DataType::String()));
+  std::string rows;
+  for (int i = 0; i < 50; ++i) {
+    const std::string key = std::to_string(1000000000 + i * 7919);
+    rows += key + "row" + std::to_string(100000 + i) + "x\n";
+  }
+  ASSERT_EQ(rows.size(), 50u * 21u);
+  options.schema = schema;
+  auto want = Parser::Parse(rows, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->table.num_rows, 50);
+
+  StreamingOptions streaming;
+  streaming.base.dialect = spec;
+  streaming.base.schema = schema;
+  streaming.partition_size = 128;
+  auto streamed = StreamingParser::Parse(rows, streaming);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_GT(streamed->num_partitions, 1);
+  EXPECT_TRUE(want->table.Equals(streamed->table)) << "StreamingParser";
+
   exec::PipelineExecutor executor;
   exec::ExecOptions pipelined;
   pipelined.base.dialect = spec;
-  auto refused = executor.IngestBuffer(input, pipelined);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("register budget"),
-            std::string::npos)
-      << refused.status().ToString();
+  pipelined.base.schema = schema;
+  pipelined.partition_size = 128;  // several partitions in flight
+  auto ingested = executor.IngestBuffer(rows, pipelined);
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_TRUE(want->table.Equals(ingested->table)) << "PipelineExecutor";
+
+  LoadOptions load;
+  load.dialect = spec;
+  load.schema = schema;
+  load.header = 0;
+  load.partition_size = 128;
+  load.collect_statistics = false;
+  auto loaded = BulkLoader::LoadBuffer(rows, load);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(want->table.Equals(loaded->table)) << "BulkLoader";
+
+  const auto reader = [&] {
+    return Reader::FromBuffer(rows)
+        .WithDialect(spec)
+        .WithSchema(schema)
+        .WithHeader(false)
+        .WithPartitionSize(128);
+  };
+  auto read = reader().Read();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(want->table.Equals(*read)) << "Reader::Read";
+
+  std::vector<Table> batches;
+  auto stats = reader().ReadStream([&](Table&& batch) {
+    batches.push_back(std::move(batch));
+    return Status::OK();
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(static_cast<int>(batches.size()), stats->num_partitions);
+  EXPECT_TRUE(want->table.Equals(ConcatTables(batches)))
+      << "Reader::ReadStream";
 }
 
 TEST(DialectEquivalenceTest, DialectAndExplicitFormatAreMutuallyExclusive) {

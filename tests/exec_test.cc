@@ -9,11 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/sequential_parser.h"
 #include "core/parser.h"
-#include "exec/bounded_queue.h"
 #include "io/file.h"
 #include "robust/failpoint.h"
-#include "stream/streaming_parser.h"
 #include "workload/generators.h"
 
 namespace parparaw {
@@ -83,24 +82,27 @@ void ExpectQuarantineEqual(const robust::QuarantineTable& got,
   }
 }
 
-// The pipelined schedule must be invisible in the output: for every kernel
-// and error policy, the table, rejected vector and quarantine are
-// bit-identical to the serial partition-at-a-time parse over the same
-// partition decomposition.
+// Partitioning and the pipelined schedule must be invisible in the
+// output: for every kernel and error policy, the table, rejected vector
+// and quarantine are bit-identical to one whole-input Parser::Parse, and
+// under kNull also to the sequential FSM oracle (an independent parser).
 TEST(ExecTest, DifferentialAgainstSerialAcrossKernelsAndPolicies) {
   const std::string input = ExecInput();
   for (simd::KernelKind kernel :
        {simd::KernelKind::kScalar, simd::KernelKind::kAuto}) {
     for (ErrorPolicy policy :
          {ErrorPolicy::kNull, ErrorPolicy::kSkip, ErrorPolicy::kQuarantine}) {
+      auto want = Parser::Parse(input, BaseOptions(policy, kernel));
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      if (policy == ErrorPolicy::kNull) {
+        auto oracle =
+            SequentialParser::Parse(input, BaseOptions(policy, kernel));
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        ASSERT_TRUE(want->table.Equals(oracle->table))
+            << "kernel=" << static_cast<int>(kernel);
+      }
       for (size_t partition_size :
            {size_t{257}, size_t{700}, size_t{4096}, size_t{1} << 20}) {
-        StreamingOptions serial;
-        serial.base = BaseOptions(policy, kernel);
-        serial.partition_size = partition_size;
-        auto want = StreamingParser::Parse(input, serial);
-        ASSERT_TRUE(want.ok()) << want.status().ToString();
-
         PipelineExecutor executor;
         ExecOptions options;
         options.base = BaseOptions(policy, kernel);
@@ -114,7 +116,17 @@ TEST(ExecTest, DifferentialAgainstSerialAcrossKernelsAndPolicies) {
             << " partition=" << partition_size;
         EXPECT_EQ(got->table.rejected, want->table.rejected);
         ExpectQuarantineEqual(got->quarantine, want->quarantine);
-        EXPECT_EQ(got->stats.num_partitions, want->num_partitions);
+        EXPECT_EQ(got->stats.num_partitions,
+                  static_cast<int>((input.size() + partition_size - 1) /
+                                   partition_size));
+        ASSERT_EQ(static_cast<int>(got->partitions.size()),
+                  got->stats.num_partitions);
+        int64_t bytes = 0;
+        for (const exec::PartitionFacts& part : got->partitions) {
+          bytes += part.bytes;
+        }
+        EXPECT_EQ(bytes, static_cast<int64_t>(input.size()));
+        EXPECT_EQ(got->partitions.back().carry_bytes, 0);
       }
     }
   }
@@ -205,11 +217,12 @@ TEST(ExecTest, MemoryBudgetDerivesAdmissionLimit) {
   // The clamp shrank partitions: the input must have been split.
   EXPECT_GT(result->stats.num_partitions, 1);
 
-  // Differential: the degraded schedule still produces the serial answer.
-  StreamingOptions serial;
-  serial.base = options.base;
-  serial.partition_size = options.partition_size;
-  auto want = StreamingParser::Parse(input, serial);
+  // Differential: the degraded schedule still produces the whole-input
+  // answer (the monolithic parse itself runs without the budget, which
+  // it would refuse rather than degrade under).
+  ParseOptions whole = options.base;
+  whole.memory_budget = 0;
+  auto want = Parser::Parse(input, whole);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ASSERT_TRUE(result->table.Equals(want->table));
 }
@@ -329,44 +342,6 @@ TEST(ExecTest, QueueFailpointsFailCleanly) {
     ASSERT_FALSE(result.ok()) << site;
     EXPECT_EQ(result.status().code(), StatusCode::kIoError) << site;
   }
-}
-
-// Regression: Push() used to accept items after Close(). A consumer that
-// had already observed closed+empty has exited, so the item would be
-// silently dropped — a lost partition. It must be a typed internal error,
-// and a producer blocked on a full closed queue must wake into it rather
-// than hang.
-TEST(ExecTest, BoundedQueuePushAfterCloseIsRejected) {
-  exec::BoundedQueue<int> queue("exec.test.queue", 2);
-  ASSERT_TRUE(queue.Push(1).ok());
-  queue.Close();
-  const Status rejected = queue.Push(2);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.code(), StatusCode::kInternal);
-  EXPECT_NE(rejected.ToString().find("push after close"), std::string::npos)
-      << rejected.ToString();
-  // The queued item still drains normally; then end-of-stream.
-  auto item = queue.Pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(ExecTest, BoundedQueueCloseWakesBlockedProducer) {
-  exec::BoundedQueue<int> queue("exec.test.queue", 1);
-  ASSERT_TRUE(queue.Push(1).ok());  // queue now full
-  std::atomic<bool> returned{false};
-  Status blocked_push;
-  std::thread producer([&] {
-    blocked_push = queue.Push(2);  // blocks on the full queue
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(returned.load());
-  queue.Close();
-  producer.join();
-  ASSERT_TRUE(returned.load());
-  EXPECT_EQ(blocked_push.code(), StatusCode::kInternal);
 }
 
 // A record larger than one partition accumulates through the carry-over

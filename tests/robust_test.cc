@@ -587,6 +587,8 @@ TEST_F(RobustTest, StreamingQuarantineIsStreamRelative) {
             result->table.rejected);
 }
 
+// A partition read fault mid-stream surfaces through StreamingParser as a
+// clean error, not a truncated table.
 TEST_F(RobustTest, StreamChunkFaultFailsCleanly) {
   const std::string csv = MakeCsv(50);
   ParseOptions base;
@@ -594,7 +596,7 @@ TEST_F(RobustTest, StreamChunkFaultFailsCleanly) {
   StreamingOptions streaming;
   streaming.base = base;
   streaming.partition_size = 128;
-  FailpointRegistry::Instance().Arm("stream.chunk", EveryNthTrigger(2));
+  FailpointRegistry::Instance().Arm("exec.read", EveryNthTrigger(2));
   const auto result = StreamingParser::Parse(csv, streaming);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
