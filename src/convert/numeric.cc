@@ -1,9 +1,8 @@
 #include "convert/numeric.h"
 
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
 #include <limits>
+#include <system_error>
 
 #include "util/string_util.h"
 
@@ -21,6 +20,24 @@ inline int ConsumeSign(std::string_view* s) {
     return sign;
   }
   return 1;
+}
+
+// Decimal exponent of the leading nonzero digit of a validated numeral's
+// mantissa (digits[.digits], any exponent part ignored): 2 for "123.4",
+// -3 for "0.00123". 0 when every digit is zero.
+int64_t LeadingDigitExponent(std::string_view body) {
+  size_t i = 0;
+  while (i < body.size() && body[i] == '0') ++i;
+  int64_t integer_digits = 0;
+  for (; i < body.size() && IsDigit(body[i]); ++i) ++integer_digits;
+  if (integer_digits > 0) return integer_digits - 1;
+  if (i < body.size() && body[i] == '.') {
+    ++i;
+    int64_t zeros = 0;
+    for (; i < body.size() && body[i] == '0'; ++i) ++zeros;
+    if (i < body.size() && IsDigit(body[i])) return -(zeros + 1);
+  }
+  return 0;
 }
 
 }  // namespace
@@ -69,7 +86,8 @@ bool ParseFloat64(std::string_view s, double* out) {
   // (< 2^53) and the power of ten is itself exact (|e| <= 22), one
   // multiply or divide of two exact values rounds once — the result is
   // correctly rounded, bit-identical to strtod. Larger mantissas fall
-  // through to strtod; digits <= 18 only bounds uint64 accumulation.
+  // through to the slow path; digits <= 18 only bounds uint64
+  // accumulation.
   uint64_t mantissa = 0;
   int digits = 0;
   int frac_digits = 0;
@@ -127,16 +145,24 @@ bool ParseFloat64(std::string_view s, double* out) {
     return true;
   }
 
-  // Slow path: delegate to strtod for full precision / extreme exponents.
-  char buf[512];
-  if (s.size() >= sizeof(buf)) return false;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buf, &end);
-  if (end != buf + s.size()) return false;
-  if (std::isinf(value) || std::isnan(value)) return false;
-  *out = value;
+  // Slow path: a correctly rounded conversion of the sign-stripped body —
+  // locale-independent, no copy, no length limit — bit-identical to strtod
+  // in the "C" locale.
+  double value = 0.0;
+  const char* const body_end = body.data() + body.size();
+  const std::from_chars_result parsed =
+      std::from_chars(body.data(), body_end, value);
+  if (parsed.ptr != body_end) return false;
+  if (parsed.ec == std::errc::result_out_of_range) {
+    // from_chars leaves `value` untouched when the result rounds to zero or
+    // to infinity. Underflow yields ±0.0 (as strtod does); overflow is
+    // rejected like any infinity.
+    if (LeadingDigitExponent(body) + exponent >= 0) return false;
+    value = 0.0;
+  } else if (parsed.ec != std::errc()) {
+    return false;
+  }
+  *out = sign < 0 ? -value : value;
   return true;
 }
 

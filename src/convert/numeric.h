@@ -22,7 +22,9 @@ bool ParseInt32(std::string_view s, int32_t* out);
 
 /// Parses a floating-point number: [+-]digits[.digits][(e|E)[+-]digits].
 /// Uses an exact fast path for typical short inputs and falls back to
-/// strtod for long/extreme ones.
+/// std::from_chars for long/extreme ones; the result is correctly rounded
+/// and independent of the process locale. Underflow yields ±0.0; overflow
+/// is rejected.
 bool ParseFloat64(std::string_view s, double* out);
 
 /// Parses a fixed-point decimal with `scale` fractional digits into a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include "columnar/table.h"
 #include "convert/inference.h"
@@ -38,6 +40,34 @@ std::string_view FieldView(const PipelineState& state,
       reinterpret_cast<const char*>(state.css.data()) + field.offset,
       static_cast<size_t>(field.length));
 }
+
+// Walks a column's fields alongside the rows of one row block. A column's
+// CSS index is strictly increasing in row, so the block's first field is
+// one binary search away and each later row needs one comparison.
+class FieldWalk {
+ public:
+  FieldWalk(std::span<const FieldEntry> fields, int64_t first_row)
+      : fields_(fields),
+        k_(static_cast<size_t>(
+            std::lower_bound(fields.begin(), fields.end(), first_row,
+                             [](const FieldEntry& field, int64_t row) {
+                               return field.row < row;
+                             }) -
+            fields.begin())) {}
+
+  /// Index of `row`'s field, or -1 when the row has none. Rows must be
+  /// visited in increasing order, starting at `first_row`.
+  int64_t Next(int64_t row) {
+    if (k_ < fields_.size() && fields_[k_].row == row) {
+      return static_cast<int64_t>(k_++);
+    }
+    return -1;
+  }
+
+ private:
+  std::span<const FieldEntry> fields_;
+  size_t k_;
+};
 
 // Parses `sv` into column slot `row`; returns false on malformed input.
 bool ConvertValue(const DataType& type, std::string_view sv, Column* column,
@@ -157,10 +187,11 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
     }
   };
 
-  std::vector<FieldEntry> fields;
+  std::vector<FieldEntry> index_scratch;
   for (ColumnPlan& plan : plans) {
     const uint32_t j = static_cast<uint32_t>(plan.source_index);
-    PARPARAW_RETURN_NOT_OK(BuildCssIndex(*state, j, &fields));
+    PARPARAW_ASSIGN_OR_RETURN(const std::span<const FieldEntry> fields,
+                              BuildCssIndex(*state, j, &index_scratch));
     const int64_t num_fields = static_cast<int64_t>(fields.size());
 
     // Type inference (§4.3): classify each field, then reduce with the
@@ -176,13 +207,6 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
                  InferredKind::kEmpty);
       plan.field.type = KindToDataType(joined);
     }
-
-    // Field-of-row lookup (rows without a field keep -1).
-    std::vector<int64_t> field_of_row(rows, -1);
-    PARPARAW_RETURN_NOT_OK(
-        ParallelForEach(state->pool, 0, num_fields, [&](int64_t k) {
-          field_of_row[fields[k].row] = k;
-        }));
 
     // Typed default value (§4.3 "Default values for empty strings").
     const bool has_default = plan.field.default_value.has_value();
@@ -211,8 +235,9 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       column.Allocate(rows);
       PARPARAW_RETURN_NOT_OK(ParallelOverRowBlocks(
           state->pool, rows, [&](int64_t b, int64_t e) {
+            FieldWalk walk(fields, b);
             for (int64_t row = b; row < e; ++row) {
-              const int64_t k = field_of_row[row];
+              const int64_t k = walk.Next(row);
               std::string_view sv =
                   k >= 0 ? FieldView(*state, fields[k]) : std::string_view();
               bool ok = false;
@@ -248,8 +273,9 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       std::vector<uint8_t> valid(rows, 0);
       PARPARAW_RETURN_NOT_OK(ParallelOverRowBlocks(
           state->pool, rows, [&](int64_t b, int64_t e) {
+        FieldWalk walk(fields, b);
         for (int64_t row = b; row < e; ++row) {
-          const int64_t k = field_of_row[row];
+          const int64_t k = walk.Next(row);
           if (k >= 0 && fields[k].length > 0) {
             lengths[row] = fields[k].length;
             valid[row] = 1;
@@ -277,18 +303,20 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       uint8_t* out = column.mutable_string_data()->data();
 
       // Thread-exclusive + block-level copies; device-level fields are
-      // deferred (§3.3).
+      // deferred (§3.3) as (row, field index) pairs.
       const size_t block_threshold = options.block_collaboration_threshold;
       const size_t device_threshold = options.device_collaboration_threshold;
-      std::vector<std::vector<int64_t>> deferred_per_block(
+      std::vector<std::vector<std::pair<int64_t, int64_t>>> deferred_per_block(
           (rows + kRowBlock - 1) / kRowBlock);
       PARPARAW_RETURN_NOT_OK(ParallelOverRowBlocks(
           state->pool, rows, [&](int64_t b, int64_t e) {
+        FieldWalk walk(fields, b);
         for (int64_t row = b; row < e; ++row) {
-          const int64_t k = field_of_row[row];
+          const int64_t k = walk.Next(row);
+          const bool from_field = k >= 0 && fields[k].length > 0;
           const uint8_t* src;
           int64_t len;
-          if (k >= 0 && fields[k].length > 0) {
+          if (from_field) {
             src = state->css.data() + fields[k].offset;
             len = fields[k].length;
           } else if (valid[row] && has_default) {
@@ -297,8 +325,10 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
           } else {
             continue;
           }
-          if (static_cast<size_t>(len) > device_threshold) {
-            deferred_per_block[b / kRowBlock].push_back(row);
+          // Only CSS fields are deferred; a default, however long, is
+          // copied here in block-level segments.
+          if (from_field && static_cast<size_t>(len) > device_threshold) {
+            deferred_per_block[b / kRowBlock].emplace_back(row, k);
             continue;
           }
           uint8_t* dst = out + (*offsets)[row];
@@ -319,9 +349,8 @@ Status ConvertStep::Run(PipelineState* state, StepTimings* timings,
       }));
       // Device-level collaboration: each oversized field gets a
       // device-wide parallel copy of its own.
-      for (const auto& block_rows : deferred_per_block) {
-        for (int64_t row : block_rows) {
-          const int64_t k = field_of_row[row];
+      for (const auto& block_fields : deferred_per_block) {
+        for (const auto& [row, k] : block_fields) {
           const uint8_t* src = state->css.data() + fields[k].offset;
           uint8_t* dst = out + (*offsets)[row];
           const int64_t len = fields[k].length;

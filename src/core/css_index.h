@@ -2,10 +2,11 @@
 #define PARPARAW_CORE_CSS_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/pipeline_state.h"
-#include "util/status.h"
+#include "util/result.h"
 
 namespace parparaw {
 
@@ -13,6 +14,10 @@ namespace parparaw {
 // stores entries in PipelineState, which this header includes).
 
 /// \brief Step 6 (§3.3/§4.1): generate a column's CSS index.
+///
+/// Returns the column's fields in strictly increasing row order (each
+/// record contributes at most one field per column) — the order the
+/// convert step's row-block walk relies on.
 ///
 /// kRecordTags: run-length encode the column's record tags; each run is one
 /// field (its value the record, its length the symbol count); an exclusive
@@ -23,8 +28,15 @@ namespace parparaw {
 /// the auxiliary field-end marks); field k belongs to output row k, which
 /// requires a consistent column count (enforced by returning ParseError on
 /// a count mismatch).
-Status BuildCssIndex(const PipelineState& state, uint32_t column,
-                     std::vector<FieldEntry>* fields);
+///
+/// Under TransposeMode::kFieldGather the partition step has already built
+/// the index: the result is a view into state.gather_entries and `scratch`
+/// is untouched. Under kSymbolSort the index is built into `*scratch` and
+/// the result views it. Either way the view lives as long as its storage
+/// is left unmodified.
+Result<std::span<const FieldEntry>> BuildCssIndex(
+    const PipelineState& state, uint32_t column,
+    std::vector<FieldEntry>* scratch);
 
 /// Collects the positions i in [0, n) where pred(i) is true, in order,
 /// using a chunked count + exclusive-prefix-sum + fill pattern (the GPU

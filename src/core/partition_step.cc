@@ -53,12 +53,20 @@ int64_t ModelTransposePeakBytes(const PipelineState& state) {
 // argument as the radix sort's), then a stable scatter that copies each
 // field's value bytes into its column's CSS with one memcpy — or a
 // filtered walk when control bytes (quotes, escapes) interleave the field.
+// In the record-tag mode an empty field gets neither an entry nor bytes,
+// exactly like the symbol path's run-length encoding, so each column's
+// entry slice is already its CSS index (BuildCssIndex returns a view).
 Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   const ParseOptions& options = *state->options;
   const TaggingMode mode = options.tagging_mode;
   const bool slot_per_field = mode != TaggingMode::kRecordTags;
   const uint32_t num_partitions = state->num_partitions;
-  const std::vector<FieldExtent>& extents = state->gather_extents;
+  const WriteOnceVector<FieldExtent>& extents = state->gather_extents;
+  // Fields that produce an entry: kept, and non-empty unless every field
+  // owns a terminator slot.
+  const auto has_entry = [slot_per_field](const FieldExtent& ex) {
+    return ex.column != kDroppedColumn && (slot_per_field || ex.length > 0);
+  };
   const int64_t n_fields = static_cast<int64_t>(extents.size());
   state->permutation.clear();
 
@@ -92,7 +100,7 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
         std::vector<int64_t>& bytes = tile_bytes[t];
         for (int64_t i = b; i < e; ++i) {
           const FieldExtent& ex = extents[i];
-          if (ex.column == kDroppedColumn) continue;
+          if (!has_entry(ex)) continue;
           ++fields[ex.column];
           bytes[ex.column] += ex.length + (slot_per_field ? 1 : 0);
         }
@@ -125,7 +133,9 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
   state->gather_entry_offsets[num_partitions] = entry_running;
   state->column_css_offsets[num_partitions] = byte_running;
 
-  // (3) Stable scatter + whole-field gather copy.
+  // (3) Stable scatter + whole-field gather copy. The entry buffer is not
+  // filled by the resize: the scatter writes every slot, so its pages are
+  // first touched by the tile tasks.
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->gather_entries,
       static_cast<size_t>(entry_running)));
@@ -147,7 +157,7 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
         std::vector<int64_t>& byte_cursor = tile_bytes[t];
         for (int64_t i = b; i < e; ++i) {
           const FieldExtent& ex = extents[i];
-          if (ex.column == kDroppedColumn) continue;
+          if (!has_entry(ex)) continue;
           const int64_t out = byte_cursor[ex.column];
           const int64_t src_begin =
               i == 0 ? input_begin : extents[i - 1].src_end + 1;

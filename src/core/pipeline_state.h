@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/options.h"
 #include "dfa/state_vector.h"
 #include "simd/simd_kernels.h"
+#include "util/default_init_allocator.h"
 
 namespace parparaw {
 
@@ -32,32 +34,34 @@ inline ColumnOffset CombineColumnOffsets(const ColumnOffset& a,
 }
 
 /// One field inside a column's concatenated symbol string (§3.3, Fig. 5).
+/// Trivially default-constructible on purpose: see gather_entries.
 struct FieldEntry {
   /// Output row this field belongs to.
-  int64_t row = 0;
+  int64_t row;
   /// Offset of the field's first symbol in the global CSS buffer.
-  int64_t offset = 0;
+  int64_t offset;
   /// Number of value symbols (terminator slots excluded).
-  int64_t length = 0;
+  int64_t length;
 };
 
 /// One field of the *source* buffer, in source order — the O(fields) unit of
 /// the TransposeMode::kFieldGather path. Produced by the tag step's extent
 /// pass, consumed by the partition step's column bucketing + gather copy.
+/// Trivially default-constructible on purpose: see gather_extents.
 struct FieldExtent {
   /// Byte offset one past the field's last byte: the delimiter that ended
   /// it, or the end of input for the trailing field.
-  int64_t src_end = 0;
+  int64_t src_end;
   /// Kept value bytes in [src_begin, src_end) (flags==0 bytes only, so
   /// quotes/escapes/comment bytes are already excluded from the count).
-  int64_t length = 0;
+  int64_t length;
   /// Output row of the field's record, or -1 when the record was dropped
   /// (reject policy / skip_records) — dropped extents still occupy a slot
   /// so src_begin can be derived from the predecessor's src_end.
-  int64_t row = -1;
+  int64_t row;
   /// Column index, or kDroppedColumn when the field is dropped or its
   /// column is skipped / beyond the lookup width.
-  uint32_t column = 0;
+  uint32_t column;
 };
 
 /// FieldExtent::column sentinel: the field is not part of the output.
@@ -179,12 +183,23 @@ struct PipelineState {
   TransposeMode transpose_mode = TransposeMode::kSymbolSort;
   /// Every field of the buffer in source order, including dropped ones
   /// (their column is kDroppedColumn); field i starts at
-  /// extents[i-1].src_end + 1 (0 for i == 0).
-  std::vector<FieldExtent> gather_extents;
+  /// extents[i-1].src_end + 1 (0 for i == 0). Resized without a fill: the
+  /// tag step's parallel fill pass writes every slot, so the first touch of
+  /// each page happens in the task that owns it.
+  WriteOnceVector<FieldExtent> gather_extents;
+  // A default member initialiser would make these resizes fill O(fields)
+  // memory serially on the calling thread again.
+  static_assert(std::is_trivially_default_constructible_v<FieldExtent>);
+  static_assert(std::is_trivially_default_constructible_v<FieldEntry>);
   /// Field entries bucketed by column (stable within a column), ready to
   /// slice per partition via gather_entry_offsets. FieldEntry::offset is
-  /// already global-CSS-relative, matching the symbol-sort layout.
-  std::vector<FieldEntry> gather_entries;
+  /// already global-CSS-relative, matching the symbol-sort layout. In the
+  /// record-tag mode zero-length fields get no entry (an empty field has no
+  /// symbols, hence no run in the symbol path's run-length encoding), so a
+  /// column's slice *is* its CSS index. Resized without a fill, like
+  /// gather_extents: the partition step's parallel scatter writes every
+  /// slot.
+  WriteOnceVector<FieldEntry> gather_entries;
   /// Exclusive prefix: gather_entries[gather_entry_offsets[p] ..
   /// gather_entry_offsets[p+1]) are column p's fields (num_partitions + 1).
   std::vector<int64_t> gather_entry_offsets;

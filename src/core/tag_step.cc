@@ -179,6 +179,8 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
 
   // --- 4. Fill pass. ---
   watch->Restart();
+  // Not filled by the resize: every slot is written below by the chunk
+  // that owns it.
   PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
       "alloc.gather", &state->gather_extents, total_fields));
   std::vector<int64_t> chunk_kept_fields(num_chunks, 0);

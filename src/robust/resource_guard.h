@@ -34,7 +34,8 @@ inline constexpr int64_t kParseMemoryFactor = 16;
 /// Envelope for TransposeMode::kFieldGather, whose transposition metadata is
 /// O(fields) instead of O(bytes): the per-byte tag sideband, per-symbol
 /// permutation and sort scratch disappear, leaving the state vectors, symbol
-/// flags, field extents (~40 bytes per *field*) and the output table.
+/// flags, the per-*field* metadata (a 32-byte FieldExtent plus a 24-byte
+/// FieldEntry, 56 bytes per field) and the output table.
 /// Measured against the same dense workloads, 8x input bounds the peak.
 inline constexpr int64_t kParseMemoryFactorFieldGather = 8;
 

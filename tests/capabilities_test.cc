@@ -169,6 +169,30 @@ TEST(CapabilitiesTest, BlockAndDeviceCollaborationLevels) {
   EXPECT_EQ(result->table.columns[1].StringValue(3), "tiny");
 }
 
+TEST(CapabilitiesTest, DefaultsLongerThanDeviceThresholdAreCopied) {
+  // A default over the device threshold is not a CSS field: it must be
+  // copied in place, not deferred to the per-field device-level copy.
+  const std::string long_default(3000, 'D');
+  const std::string big(2500, 'B');
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    ParseOptions options;
+    options.transpose_mode = mode;
+    options.schema.AddField(Field("id", DataType::Int64()));
+    Field text("text", DataType::String());
+    text.default_value = long_default;
+    options.schema.AddField(text);
+    options.block_collaboration_threshold = 64;
+    options.device_collaboration_threshold = 2000;
+    auto result = Parser::Parse("1,\n2," + big + "\n3\n", options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->table.num_rows, 3);
+    EXPECT_EQ(result->table.columns[1].StringValue(0), long_default);
+    EXPECT_EQ(result->table.columns[1].StringValue(1), big);
+    EXPECT_EQ(result->table.columns[1].StringValue(2), long_default);
+  }
+}
+
 TEST(CapabilitiesTest, NotNullableColumnRejectsNullRows) {
   ParseOptions options;
   options.schema.AddField(Field("id", DataType::Int64(), /*nullable=*/false));

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
 
 #include "convert/numeric.h"
 #include "convert/temporal.h"
@@ -87,6 +92,99 @@ TEST(ParseFloat64Test, SlowPathPrecision) {
   EXPECT_DOUBLE_EQ(v, 1234567890.12345678901);
   EXPECT_TRUE(ParseFloat64("0.000000000000000000001", &v));
   EXPECT_DOUBLE_EQ(v, 1e-21);
+}
+
+TEST(ParseFloat64Test, SlowPathHasNoLengthLimit) {
+  // Longer than any fixed stack copy: 1.000...0001 with 600 zeros, and a
+  // 700-digit integer.
+  double v = 0.0;
+  const std::string fraction = "1." + std::string(600, '0') + "1";
+  EXPECT_TRUE(ParseFloat64(fraction, &v));
+  EXPECT_EQ(v, 1.0);
+  const std::string integer = "-7" + std::string(699, '0') + "e-690";
+  EXPECT_TRUE(ParseFloat64(integer, &v));
+  EXPECT_EQ(v, std::strtod(integer.c_str(), nullptr));
+}
+
+TEST(ParseFloat64Test, UnderflowYieldsSignedZero) {
+  double v = 1.0;
+  EXPECT_TRUE(ParseFloat64("1e-400", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_FALSE(std::signbit(v));
+  v = 1.0;
+  EXPECT_TRUE(ParseFloat64("-1e-400", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(std::signbit(v));
+  v = 1.0;
+  EXPECT_TRUE(ParseFloat64("+0.000123e-330", &v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_FALSE(std::signbit(v));
+  // Just above half the smallest subnormal rounds up to it, not to zero.
+  EXPECT_TRUE(ParseFloat64("2.4703282292062328e-324", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::denorm_min());
+}
+
+TEST(ParseFloat64Test, OverflowIsRejected) {
+  double v = 0.0;
+  EXPECT_FALSE(ParseFloat64("1e400", &v));
+  EXPECT_FALSE(ParseFloat64("-1e400", &v));
+  EXPECT_FALSE(ParseFloat64("1.7976931348623159e308", &v));
+  EXPECT_FALSE(ParseFloat64("123456789" + std::string(400, '0'), &v));
+  EXPECT_TRUE(ParseFloat64("1.7976931348623158e308", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::max());
+}
+
+// Seeded numerals — long mantissas, exponents across the subnormal and
+// overflow edges, signs — must convert bit-identically to strtod in the
+// "C" locale (the process default, asserted), with strtod's infinities
+// rejected.
+TEST(ParseFloat64Test, SeededNumeralsMatchStrtodBitForBit) {
+  ASSERT_STREQ(std::setlocale(LC_NUMERIC, nullptr), "C");
+  std::mt19937_64 rng(20200);
+  int slow_path = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string numeral;
+    const uint64_t sign = rng() % 3;
+    if (sign == 1) numeral += '-';
+    if (sign == 2) numeral += '+';
+    const int int_digits = static_cast<int>(rng() % 24);
+    const int frac_digits =
+        static_cast<int>(rng() % 24) + (int_digits == 0 ? 1 : 0);
+    for (int d = 0; d < int_digits; ++d) {
+      numeral += static_cast<char>('0' + rng() % 10);
+    }
+    if (frac_digits > 0 || rng() % 2 == 0) numeral += '.';
+    for (int d = 0; d < frac_digits; ++d) {
+      numeral += static_cast<char>('0' + rng() % 10);
+    }
+    if (rng() % 4 != 0) {
+      numeral += (rng() % 2 == 0) ? 'e' : 'E';
+      const uint64_t exp_sign = rng() % 3;
+      if (exp_sign == 1) numeral += '-';
+      if (exp_sign == 2) numeral += '+';
+      numeral += std::to_string(rng() % 360);
+    }
+    if (int_digits + frac_digits > 18 ||
+        numeral.find_first_of("eE") != std::string::npos) {
+      ++slow_path;
+    }
+    char* end = nullptr;
+    const double want = std::strtod(numeral.c_str(), &end);
+    ASSERT_EQ(end, numeral.c_str() + numeral.size()) << numeral;
+    double got = 0.0;
+    const bool ok = ParseFloat64(numeral, &got);
+    if (std::isinf(want)) {
+      EXPECT_FALSE(ok) << numeral;
+      continue;
+    }
+    ASSERT_TRUE(ok) << numeral;
+    uint64_t want_bits;
+    uint64_t got_bits;
+    std::memcpy(&want_bits, &want, sizeof(want));
+    std::memcpy(&got_bits, &got, sizeof(got));
+    ASSERT_EQ(got_bits, want_bits) << numeral;
+  }
+  EXPECT_GT(slow_path, 10000);
 }
 
 TEST(ParseFloat64Test, Malformed) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/css_index.h"
 #include "test_util.h"
 
@@ -15,8 +17,10 @@ TEST(CssIndexTest, RecordTagModeRunsAndOffsets) {
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
 
-  std::vector<FieldEntry> fields;
-  ASSERT_TRUE(BuildCssIndex(h->state, 1, &fields).ok());
+  std::vector<FieldEntry> scratch;
+  auto index = BuildCssIndex(h->state, 1, &scratch);
+  ASSERT_TRUE(index.ok());
+  const std::span<const FieldEntry> fields = *index;
   ASSERT_EQ(fields.size(), 2u);
   EXPECT_EQ(fields[0].row, 0);
   EXPECT_EQ(fields[0].length, 6);  // "199.99"
@@ -35,8 +39,10 @@ TEST(CssIndexTest, RecordTagModeSkipsEmptyFields) {
   ParseOptions options;
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
-  std::vector<FieldEntry> fields;
-  ASSERT_TRUE(BuildCssIndex(h->state, 1, &fields).ok());
+  std::vector<FieldEntry> scratch;
+  auto index = BuildCssIndex(h->state, 1, &scratch);
+  ASSERT_TRUE(index.ok());
+  const std::span<const FieldEntry> fields = *index;
   // The empty field of row 1 produces no run.
   ASSERT_EQ(fields.size(), 2u);
   EXPECT_EQ(fields[0].row, 0);
@@ -57,11 +63,15 @@ TEST(CssIndexTest, RecordTagModeTrailingEmptyFieldOfLastRecord) {
       ASSERT_TRUE(h->RunThroughPartition().ok());
       ASSERT_EQ(h->state.record_column_counts.size(), 1u) << input;
       EXPECT_EQ(h->state.record_column_counts[0], 3u) << input;
-      std::vector<FieldEntry> fields;
-      ASSERT_TRUE(BuildCssIndex(h->state, 2, &fields).ok());
+      std::vector<FieldEntry> scratch;
+      auto index = BuildCssIndex(h->state, 2, &scratch);
+      ASSERT_TRUE(index.ok());
+      std::span<const FieldEntry> fields = *index;
       EXPECT_TRUE(fields.empty()) << input;
       // The non-empty sibling columns are unaffected.
-      ASSERT_TRUE(BuildCssIndex(h->state, 0, &fields).ok());
+      index = BuildCssIndex(h->state, 0, &scratch);
+      ASSERT_TRUE(index.ok());
+      fields = *index;
       ASSERT_EQ(fields.size(), 1u) << input;
       EXPECT_EQ(fields[0].length, 1) << input;
     }
@@ -81,9 +91,11 @@ TEST(CssIndexTest, LoneDelimiterRecordHasNoRuns) {
       ASSERT_TRUE(h->RunThroughPartition().ok());
       ASSERT_EQ(h->state.record_column_counts.size(), 1u) << input;
       EXPECT_EQ(h->state.record_column_counts[0], 2u) << input;
-      std::vector<FieldEntry> fields;
+      std::vector<FieldEntry> scratch;
       for (uint32_t col = 0; col < 2; ++col) {
-        ASSERT_TRUE(BuildCssIndex(h->state, col, &fields).ok());
+        auto index = BuildCssIndex(h->state, col, &scratch);
+        ASSERT_TRUE(index.ok());
+        const std::span<const FieldEntry> fields = *index;
         EXPECT_TRUE(fields.empty()) << input << " col " << col;
       }
     }
@@ -96,8 +108,10 @@ TEST(CssIndexTest, InlineModeIncludesEmptyFields) {
   options.tagging_mode = TaggingMode::kInlineTerminated;
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
-  std::vector<FieldEntry> fields;
-  ASSERT_TRUE(BuildCssIndex(h->state, 1, &fields).ok());
+  std::vector<FieldEntry> scratch;
+  auto index = BuildCssIndex(h->state, 1, &scratch);
+  ASSERT_TRUE(index.ok());
+  const std::span<const FieldEntry> fields = *index;
   ASSERT_EQ(fields.size(), 3u);
   EXPECT_EQ(fields[1].row, 1);
   EXPECT_EQ(fields[1].length, 0);  // empty field present with zero symbols
@@ -109,8 +123,8 @@ TEST(CssIndexTest, InlineModeInconsistentColumnsError) {
   options.tagging_mode = TaggingMode::kInlineTerminated;
   auto h = StepHarness::Make(input, options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
-  std::vector<FieldEntry> fields;
-  const Status st = BuildCssIndex(h->state, 1, &fields);
+  std::vector<FieldEntry> scratch;
+  const Status st = BuildCssIndex(h->state, 1, &scratch).status();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kParseError);
 }
@@ -128,9 +142,13 @@ TEST(CssIndexTest, VectorModeMatchesInlineMode) {
   ASSERT_TRUE(hv->RunThroughPartition().ok());
 
   for (uint32_t col = 0; col < 2; ++col) {
-    std::vector<FieldEntry> fi, fv;
-    ASSERT_TRUE(BuildCssIndex(hi->state, col, &fi).ok());
-    ASSERT_TRUE(BuildCssIndex(hv->state, col, &fv).ok());
+    std::vector<FieldEntry> scratch_i, scratch_v;
+    auto index_i = BuildCssIndex(hi->state, col, &scratch_i);
+    auto index_v = BuildCssIndex(hv->state, col, &scratch_v);
+    ASSERT_TRUE(index_i.ok());
+    ASSERT_TRUE(index_v.ok());
+    const std::span<const FieldEntry> fi = *index_i;
+    const std::span<const FieldEntry> fv = *index_v;
     ASSERT_EQ(fi.size(), fv.size());
     for (size_t k = 0; k < fi.size(); ++k) {
       EXPECT_EQ(fi[k].row, fv[k].row);
@@ -143,8 +161,10 @@ TEST(CssIndexTest, ColumnBeyondPartitionsIsEmpty) {
   ParseOptions options;
   auto h = StepHarness::Make("a,b\n", options);
   ASSERT_TRUE(h->RunThroughPartition().ok());
-  std::vector<FieldEntry> fields;
-  ASSERT_TRUE(BuildCssIndex(h->state, 7, &fields).ok());
+  std::vector<FieldEntry> scratch;
+  auto index = BuildCssIndex(h->state, 7, &scratch);
+  ASSERT_TRUE(index.ok());
+  const std::span<const FieldEntry> fields = *index;
   EXPECT_TRUE(fields.empty());
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "baseline/sequential_parser.h"
+#include "core/css_index.h"
 #include "core/parser.h"
 #include "dfa/formats.h"
 #include "dialect/dialect.h"
@@ -163,18 +165,46 @@ void ExpectOutputsEqual(const Result<ParseOutput>& want,
   }
 }
 
+/// The typed-schema axis: empty-versus-missing semantics live in the
+/// convert step, which walks the CSS index per row — a string column with a
+/// default, a numeric column with a default, a non-nullable column, and a
+/// plain nullable one. Inputs with fewer columns leave the later ones
+/// missing; inputs with more are cut off at the schema.
+Schema TypedSchema() {
+  Field with_default("with_default", DataType::String());
+  with_default.default_value = "dflt";
+  Field number("number", DataType::Int64());
+  number.default_value = "7";
+  Field required("required", DataType::String(), /*nullable_in=*/false);
+  Field plain("plain", DataType::String());
+  return Schema({with_default, number, required, plain});
+}
+
+/// Adds the typed-schema and skip-column axes to OptionsForSeed. They
+/// rotate on bits the tagging/policy/raggedness rotations do not, so every
+/// combination occurs — including ragged records under kRobust +
+/// kRecordTags with a typed schema.
+void AddSchemaAxes(uint64_t seed, ParseOptions* options) {
+  if ((seed >> 4) % 2 == 1) options->schema = TypedSchema();
+  if ((seed >> 5) % 2 == 1) options->skip_columns = {1};
+}
+
 // The headline sweep: >= 10k seeded inputs, every registered format,
-// tagging modes and error policies rotating with the seed, field-gather
-// output compared field by field against symbol sort.
+// tagging modes, error policies, typed schemas and skipped columns
+// rotating with the seed, field-gather output compared field by field
+// against symbol sort — and, under the kNull policy, both against the
+// SequentialParser oracle, an independent FSM parser.
 TEST(TransposeDifferentialTest, GatherMatchesSymbolSortOnSeededInputs) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
   // 2048 seeds x 5 formats = 10240 distinct inputs.
   constexpr uint64_t kSeedsPerFormat = 2048;
+  int oracle_checked = 0;
   for (const NamedFormat& format : formats) {
     for (uint64_t seed = 0; seed < kSeedsPerFormat; ++seed) {
       const std::string input = InputForSeed(format, seed);
       ParseOptions options = OptionsForSeed(format, seed);
+      AddSchemaAxes(seed, &options);
 
       options.transpose_mode = TransposeMode::kSymbolSort;
       const Result<ParseOutput> reference = Parser::Parse(input, options);
@@ -184,14 +214,30 @@ TEST(TransposeDifferentialTest, GatherMatchesSymbolSortOnSeededInputs) {
       const std::string context = format.name + " seed " +
                                   std::to_string(seed);
       ASSERT_NO_FATAL_FAILURE(ExpectOutputsEqual(reference, got, context));
+
+      if (options.error_policy == ErrorPolicy::kNull) {
+        const Result<ParseOutput> oracle =
+            SequentialParser::Parse(input, options);
+        ASSERT_EQ(oracle.ok(), reference.ok())
+            << context << " oracle: "
+            << (oracle.ok() ? reference.status() : oracle.status())
+                   .ToString();
+        if (!oracle.ok()) continue;
+        ASSERT_TRUE(oracle->table.Equals(reference->table))
+            << context << " oracle";
+        ASSERT_EQ(oracle->table.rejected, reference->table.rejected)
+            << context << " oracle";
+        ++oracle_checked;
+      }
     }
   }
+  EXPECT_GT(oracle_checked, 2000);
 }
 
 // The intermediate state, not just the final table: both modes must build
 // byte-identical concatenated symbol strings with identical per-column
-// offsets and histograms — the CSS layout equivalence the convert step
-// relies on.
+// offsets and histograms, and identical per-column CSS indexes — the
+// layout equivalence the convert step relies on.
 TEST(TransposeDifferentialTest, CssLayoutsMatchAcrossModes) {
   std::vector<NamedFormat> formats;
   ASSERT_NO_FATAL_FAILURE(formats = RegisteredFormats());
@@ -225,6 +271,38 @@ TEST(TransposeDifferentialTest, CssLayoutsMatchAcrossModes) {
       for (size_t i = 0; i < hs->state.css.size(); ++i) {
         ASSERT_EQ(hs->state.css[i], hg->state.css[i])
             << context << " css byte " << i;
+      }
+      // Same FieldEntry values per column, and the gather index is a view
+      // into the partition step's entry buffer, not a copy.
+      const FieldEntry* const entries_begin =
+          hg->state.gather_entries.data();
+      const FieldEntry* const entries_end =
+          entries_begin + hg->state.gather_entries.size();
+      std::vector<FieldEntry> sort_scratch;
+      std::vector<FieldEntry> gather_scratch;
+      for (uint32_t col = 0; col < hs->state.num_partitions; ++col) {
+        const std::string at = context + " column " + std::to_string(col);
+        const auto sorted = BuildCssIndex(hs->state, col, &sort_scratch);
+        const auto gathered = BuildCssIndex(hg->state, col, &gather_scratch);
+        ASSERT_EQ(sorted.ok(), gathered.ok()) << at;
+        if (!sorted.ok()) {
+          ASSERT_EQ(sorted.status().ToString(), gathered.status().ToString())
+              << at;
+          continue;
+        }
+        ASSERT_EQ(sorted->size(), gathered->size()) << at;
+        for (size_t k = 0; k < sorted->size(); ++k) {
+          ASSERT_EQ((*sorted)[k].row, (*gathered)[k].row) << at << " k " << k;
+          ASSERT_EQ((*sorted)[k].offset, (*gathered)[k].offset)
+              << at << " k " << k;
+          ASSERT_EQ((*sorted)[k].length, (*gathered)[k].length)
+              << at << " k " << k;
+        }
+        if (!gathered->empty()) {
+          ASSERT_GE(gathered->data(), entries_begin) << at;
+          ASSERT_LE(gathered->data() + gathered->size(), entries_end) << at;
+        }
+        ASSERT_TRUE(gather_scratch.empty()) << at;
       }
     }
   }
