@@ -19,7 +19,9 @@
 #   scripts/check.sh transpose  # full suite per TransposeMode
 #                               # (PARPARAW_TRANSPOSE_MODE) plus the
 #                               # symbol-sort vs field-gather differential
-#                               # harness, under ASan+UBSan
+#                               # harness and the word-at-a-time tag-pass
+#                               # and flag-mask reference tests, under
+#                               # ASan+UBSan
 #   scripts/check.sh dialects   # dialect compiler suite (equivalence
 #                               # proofs, minimiser properties, widened
 #                               # generated-dialect differential sweeps,
@@ -211,7 +213,7 @@ run_transpose() {
   ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
   UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging'
+      -R 'TransposeDifferential|FieldGather|CssIndex|Tagging|TagStep|TagPassReference|FlagMasks'
 }
 
 run_dialects() {

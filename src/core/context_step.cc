@@ -1,6 +1,7 @@
 #include "core/context_step.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "obs/obs.h"
 #include "parallel/scan.h"
@@ -55,8 +56,11 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
   } else {
     state->kernel_plan =
         std::make_shared<simd::KernelPlan>(simd::BuildKernelPlan(dfa));
-    PARPARAW_RETURN_NOT_OK(robust::GuardedAssign(
-        "alloc.context", &state->symbol_flags, state->size, uint8_t{0}));
+    // Allocated without a fill: each chunk task below zeroes the slice it
+    // owns before its kernel runs, because the kernels (and the bitmap
+    // step's pre-convergence walk) skip clean blocks without writing them.
+    PARPARAW_RETURN_NOT_OK(robust::GuardedResize(
+        "alloc.context", &state->symbol_flags, state->size));
     state->spec_offsets.assign(num_chunks, -1);
     state->spec_states.assign(num_chunks, 0);
     state->spec_invalids.assign(num_chunks, -1);
@@ -81,6 +85,10 @@ Status ContextStep::Run(PipelineState* state, StepTimings* timings) {
           AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
       const size_t end =
           AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
+      // Chunk 0 zeroes from byte 0: under UTF-8 a leading continuation
+      // byte lies before its begin and belongs to no chunk.
+      const size_t zero_from = c == 0 ? 0 : begin;
+      std::memset(state->symbol_flags.data() + zero_from, 0, end - zero_from);
       const simd::ChunkKernelResult result =
           kernel(plan, state->data, begin, end, state->symbol_flags.data());
       state->transition_vectors[c] = result.vector;

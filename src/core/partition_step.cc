@@ -1,8 +1,10 @@
 #include "core/partition_step.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
+#include "dfa/flag_masks.h"
 #include "obs/obs.h"
 #include "parallel/radix_sort.h"
 #include "robust/failpoint.h"
@@ -51,8 +53,9 @@ int64_t ModelTransposePeakBytes(const PipelineState& state) {
 // field granularity): per-tile histograms of field counts and CSS slot
 // bytes, a bucket-major x tile-major exclusive scan (the same stability
 // argument as the radix sort's), then a stable scatter that copies each
-// field's value bytes into its column's CSS with one memcpy — or a
-// filtered walk when control bytes (quotes, escapes) interleave the field.
+// field's value bytes into its column's CSS with one memcpy — or one memcpy
+// per run of value bytes when control bytes (quotes, escapes) interleave
+// the field, the runs found 64 flag bytes at a time.
 // In the record-tag mode an empty field gets neither an entry nor bytes,
 // exactly like the symbol path's run-length encoding, so each column's
 // entry slice is already its CSS index (BuildCssIndex returns a view).
@@ -174,14 +177,25 @@ Status RunFieldGather(PipelineState* state, WorkCounters* work) {
             std::memcpy(css + out, data + src_begin,
                         static_cast<size_t>(ex.length));
           } else {
+            // Control bytes (quotes, escapes) interleave the value: copy
+            // each run of value bytes between them with one memcpy.
             int64_t w = out;
             const int64_t w_end = out + ex.length;
-            for (int64_t s = src_begin; s < copy_end && w < w_end; ++s) {
-              if ((flags[s] &
-                   (kSymbolRecordDelimiter | kSymbolControl)) == 0) {
-                css[w++] = data[s];
-              }
-            }
+            ForEachFlagBlock(
+                flags, static_cast<size_t>(src_begin),
+                static_cast<size_t>(copy_end),
+                [&](size_t base, const FlagMasks& m) {
+                  uint64_t values = m.values();
+                  while (values != 0) {
+                    const int start = std::countr_zero(values);
+                    const int run = std::countr_zero(~(values >> start));
+                    const int64_t n = std::min<int64_t>(run, w_end - w);
+                    std::memcpy(css + w, data + base + start,
+                                static_cast<size_t>(n));
+                    w += n;
+                    values &= ~BitsBelow(static_cast<unsigned>(start + run));
+                  }
+                });
           }
           if (slot_per_field) {
             // The terminator slot the per-symbol path emits at each field
@@ -255,7 +269,7 @@ Status PartitionStep::Run(PipelineState* state, StepTimings* timings,
   // Move the symbols and their side arrays along with the sort key (§3.3:
   // "the symbols and the record-tags are moved along with the associated
   // sort-key").
-  std::vector<uint8_t> sorted_css;
+  WriteOnceVector<uint8_t> sorted_css;
   ApplyPermutation(state->pool, state->permutation, state->css, &sorted_css);
   state->css = std::move(sorted_css);
   int64_t bytes_moved = n * (1 + 4);  // symbol + key per pass output

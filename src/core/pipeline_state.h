@@ -69,8 +69,10 @@ inline constexpr uint32_t kDroppedColumn = 0xFFFFFFFFu;
 
 /// Per-input-byte symbol classification produced by the bitmap step — the
 /// paper's three bitmap indexes (§3.1), stored byte-per-symbol so parallel
-/// chunk writers never share a word. Bit values match SymbolFlags.
-using SymbolFlagsArray = std::vector<uint8_t>;
+/// chunk writers never share a word; readers take them 64 symbols per mask
+/// block (dfa/flag_masks.h). Bit values match SymbolFlags. Resized without
+/// a fill: the context step's chunk tasks zero their own slices.
+using SymbolFlagsArray = WriteOnceVector<uint8_t>;
 
 /// \brief All intermediate state threaded through the pipeline steps.
 ///
@@ -160,8 +162,9 @@ struct PipelineState {
 
   // --- tag step outputs (§3.2/§4.1) ---
   /// Concatenated kept symbols (field data; plus one terminator slot per
-  /// field in the inline/vector modes).
-  std::vector<uint8_t> css;
+  /// field in the inline/vector modes). Resized without a fill on the
+  /// field-gather path, whose scatter writes every byte.
+  WriteOnceVector<uint8_t> css;
   /// Column tag per kept symbol.
   std::vector<uint32_t> col_tags;
   /// Record tag (output row) per kept symbol; filled in kRecordTags mode.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
+#include "dfa/flag_masks.h"
 #include "obs/obs.h"
 #include "parallel/scan.h"
 #include "robust/resource_guard.h"
@@ -102,6 +104,15 @@ void ForEachEmission(const PipelineState& state,
   }
 }
 
+// Field-gather sizing, produced by the count pass: per chunk, the field
+// ends it contains (plus the trailing record's virtual end in the last
+// chunk), the value bytes after its last end, and whether it has an end.
+struct GatherSizing {
+  std::vector<int64_t> chunk_fields;
+  std::vector<int64_t> chunk_tail_data;
+  std::vector<uint8_t> chunk_has_end;
+};
+
 // Field-gather transposition (TransposeMode::kFieldGather): instead of a
 // per-symbol tag sideband for the radix sort, derive one FieldExtent per
 // field — including dropped ones, whose predecessor link recovers field
@@ -110,8 +121,8 @@ void ForEachEmission(const PipelineState& state,
 // column and gathers each column's CSS with whole-field copies.
 Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
                          const std::vector<uint8_t>& skip_lookup,
-                         uint32_t max_col_index, Stopwatch* watch,
-                         obs::TraceSpan* span) {
+                         uint32_t max_col_index, const GatherSizing& sizing,
+                         Stopwatch* watch, obs::TraceSpan* span) {
   const ParseOptions& options = *state->options;
   const int64_t num_chunks = state->num_chunks;
   const TaggingMode mode = options.tagging_mode;
@@ -120,40 +131,8 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
     if (r >= state->num_records) return true;
     return !state->record_dropped.empty() && state->record_dropped[r] != 0;
   };
-
-  // --- 3. Sizing pass: field ends + open-field tail data per chunk. ---
-  std::vector<int64_t> chunk_fields(num_chunks, 0);
-  std::vector<int64_t> chunk_tail_data(num_chunks, 0);
-  std::vector<uint8_t> chunk_has_end(num_chunks, 0);
-  PARPARAW_RETURN_NOT_OK(
-      ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
-        const size_t chunk_size = options.chunk_size;
-        const size_t begin =
-            AdjustBegin(*state, static_cast<size_t>(c) * chunk_size);
-        const size_t end =
-            AdjustBegin(*state, static_cast<size_t>(c + 1) * chunk_size);
-        int64_t fields = 0;
-        int64_t tail = 0;
-        bool has_end = false;
-        for (size_t i = begin; i < end; ++i) {
-          const uint8_t flags = state->symbol_flags[i];
-          if (flags & (kSymbolRecordDelimiter | kSymbolFieldDelimiter)) {
-            ++fields;
-            tail = 0;
-            has_end = true;
-          } else if (flags & kSymbolControl) {
-            // Quotes, escapes, comment bytes: excluded from field values.
-          } else {
-            ++tail;
-          }
-        }
-        // The trailing unterminated record's final field ends at EOF.
-        if (c == num_chunks - 1 && state->has_trailing_record) ++fields;
-        chunk_fields[c] = fields;
-        chunk_tail_data[c] = tail;
-        chunk_has_end[c] = has_end ? 1 : 0;
-      }));
   {
+    // The count pass already sized the extents.
     const double elapsed_ms = watch->ElapsedMillis();
     timings->tag_ms += elapsed_ms;
     obs::RecordMillis(options.metrics, "step.tag.count_us", elapsed_ms);
@@ -162,14 +141,14 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   Stopwatch scan_watch;
   std::vector<int64_t> chunk_extent_offsets(num_chunks, 0);
   const int64_t total_fields =
-      ExclusivePrefixSum(state->pool, chunk_fields.data(),
+      ExclusivePrefixSum(state->pool, sizing.chunk_fields.data(),
                          chunk_extent_offsets.data(), num_chunks);
   // carry_in[c]: value bytes before chunk c belonging to the field still
   // open at its boundary; the first field end inside c closes them.
   std::vector<int64_t> carry_in(num_chunks, 0);
   for (int64_t c = 1; c < num_chunks; ++c) {
-    carry_in[c] =
-        chunk_tail_data[c - 1] + (chunk_has_end[c - 1] ? 0 : carry_in[c - 1]);
+    carry_in[c] = sizing.chunk_tail_data[c - 1] +
+                  (sizing.chunk_has_end[c - 1] ? 0 : carry_in[c - 1]);
   }
   {
     const double elapsed_ms = scan_watch.ElapsedMillis();
@@ -177,7 +156,8 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
     obs::RecordMillis(options.metrics, "step.tag.scan_us", elapsed_ms);
   }
 
-  // --- 4. Fill pass. ---
+  // --- 4. Fill pass: one extent per set bit of the end mask, its length a
+  // popcount of the value bits since the previous end. ---
   watch->Restart();
   // Not filled by the resize: every slot is written below by the chunk
   // that owns it.
@@ -186,6 +166,7 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
   std::vector<int64_t> chunk_kept_fields(num_chunks, 0);
   std::vector<int64_t> chunk_kept_bytes(num_chunks, 0);
   std::atomic<bool> terminator_collision{false};
+  const bool check_terminator = mode == TaggingMode::kInlineTerminated;
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
         const size_t chunk_size = options.chunk_size;
@@ -196,59 +177,73 @@ Status RunFieldGatherTag(PipelineState* state, StepTimings* timings,
         uint32_t col = state->entry_columns[c];
         int64_t rec = state->record_offsets[c];
         int64_t out = chunk_extent_offsets[c];
-        int64_t data_count = 0;
-        bool first_end = true;
+        // Value bytes of the open field, starting with those before c.
+        int64_t data_count = carry_in[c];
+        // Whether the open field has a terminator byte among its values in
+        // this chunk. Its (rec, col) does not change across a chunk
+        // boundary, so each chunk judges its own share of a field.
+        bool open_terminator = false;
         int64_t kept_fields = 0;
         int64_t kept_bytes = 0;
+        const auto kept = [&] {
+          return !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
+        };
         const auto emit_extent = [&](int64_t src_end) {
-          const int64_t length = data_count + (first_end ? carry_in[c] : 0);
-          first_end = false;
-          data_count = 0;
-          const bool keep =
-              !dropped(rec) && !IsSkippedColumn(skip_lookup, col);
+          const bool keep = kept();
+          if (keep && open_terminator) {
+            terminator_collision.store(true, std::memory_order_relaxed);
+          }
           FieldExtent& ex = state->gather_extents[out++];
           ex.src_end = src_end;
-          ex.length = length;
+          ex.length = data_count;
           ex.row = keep ? state->out_row_of_record[rec] : -1;
           ex.column = keep ? col : kDroppedColumn;
           if (keep) {
             ++kept_fields;
-            kept_bytes += length;
+            kept_bytes += data_count;
           }
+          data_count = 0;
+          open_terminator = false;
         };
-        for (size_t i = begin; i < end; ++i) {
-          const uint8_t flags = state->symbol_flags[i];
-          if (flags & kSymbolRecordDelimiter) {
-            emit_extent(static_cast<int64_t>(i));
-            ++rec;
-            col = 0;
-          } else if (flags & kSymbolFieldDelimiter) {
-            // An inclusive boundary is counted into the closing field's
-            // length; src_end still points at the boundary byte, so the
-            // next field's src_begin (src_end + 1) is unchanged.
-            if ((flags & kSymbolControl) == 0) {
-              if (mode == TaggingMode::kInlineTerminated &&
-                  state->data[i] == options.terminator && !dropped(rec) &&
-                  !IsSkippedColumn(skip_lookup, col)) {
-                terminator_collision.store(true, std::memory_order_relaxed);
+        ForEachFlagBlock(
+            state->symbol_flags.data(), begin, end,
+            [&](size_t base, const FlagMasks& m) {
+              uint64_t values = m.values();
+              uint64_t terminators =
+                  check_terminator
+                      ? values & ByteEqualMask(state->data + base, m.size,
+                                               options.terminator)
+                      : 0;
+              for (uint64_t ends = m.ends(); ends != 0; ends &= ends - 1) {
+                const unsigned p =
+                    static_cast<unsigned>(std::countr_zero(ends));
+                // Up to and including p: an inclusive boundary (no control
+                // bit) is the closing field's last value byte, while
+                // src_end still points at it, so the next field's
+                // src_begin (src_end + 1) is unchanged.
+                const uint64_t upto = BitsBelow(p + 1);
+                data_count += std::popcount(values & upto);
+                open_terminator |= (terminators & upto) != 0;
+                values &= ~upto;
+                terminators &= ~upto;
+                emit_extent(static_cast<int64_t>(base + p));
+                if ((m.record >> p) & 1) {
+                  ++rec;
+                  col = 0;
+                } else {
+                  ++col;
+                }
               }
-              ++data_count;
-            }
-            emit_extent(static_cast<int64_t>(i));
-            ++col;
-          } else if (flags & kSymbolControl) {
-            // Not part of any field's value.
-          } else {
-            if (mode == TaggingMode::kInlineTerminated &&
-                state->data[i] == options.terminator && !dropped(rec) &&
-                !IsSkippedColumn(skip_lookup, col)) {
-              terminator_collision.store(true, std::memory_order_relaxed);
-            }
-            ++data_count;
-          }
-        }
+              data_count += std::popcount(values);
+              open_terminator |= terminators != 0;
+            });
         if (c == num_chunks - 1 && state->has_trailing_record) {
           emit_extent(static_cast<int64_t>(state->size));
+        }
+        // The field still open here continues in the next chunk (or
+        // belongs to no record at end of input, and is then dropped).
+        if (open_terminator && kept()) {
+          terminator_collision.store(true, std::memory_order_relaxed);
         }
         chunk_kept_fields[c] = kept_fields;
         chunk_kept_bytes[c] = kept_bytes;
@@ -305,11 +300,19 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   // delimiter-dense row must not be allowed to size them unbounded (or to
   // march the uint32 column counter toward overflow). Each chunk records
   // its first violation; the earliest record wins.
+  //
+  // The pass reads the bitmap indexes 64 symbols per mask block: field
+  // delimiters between two record delimiters advance the column by their
+  // popcount. It also sizes the field-gather extents (GatherSizing).
   const uint32_t column_limit = options.max_record_columns;
   state->record_column_counts.assign(num_records, 0);
   std::vector<uint32_t> chunk_max_col(num_chunks, 0);
   std::vector<int64_t> chunk_violation_rec(num_chunks, -1);
   std::vector<int64_t> chunk_violation_pos(num_chunks, -1);
+  GatherSizing sizing;
+  sizing.chunk_fields.assign(num_chunks, 0);
+  sizing.chunk_tail_data.assign(num_chunks, 0);
+  sizing.chunk_has_end.assign(num_chunks, 0);
   PARPARAW_RETURN_NOT_OK(
       ParallelForEach(state->pool, 0, num_chunks, [&](int64_t c) {
     const size_t chunk_size = options.chunk_size;
@@ -320,27 +323,65 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
     uint32_t col = state->entry_columns[c];
     int64_t rec = state->record_offsets[c];
     uint32_t max_col = col;
-    for (size_t i = begin; i < end; ++i) {
-      const uint8_t flags = state->symbol_flags[i];
-      if (flags & kSymbolRecordDelimiter) {
-        state->record_column_counts[rec] = col + 1;
-        max_col = std::max(max_col, col);
-        ++rec;
-        col = 0;
-      } else if (flags & kSymbolFieldDelimiter) {
-        ++col;
-        max_col = std::max(max_col, col);
-        if (col >= column_limit && chunk_violation_rec[c] < 0) {
-          chunk_violation_rec[c] = rec;
-          chunk_violation_pos[c] = static_cast<int64_t>(i);
-        }
-      }
-    }
+    int64_t fields = 0;
+    int64_t tail = 0;
+    bool has_end = false;
+    ForEachFlagBlock(
+        state->symbol_flags.data(), begin, end,
+        [&](size_t base, const FlagMasks& m) {
+          const uint64_t ends = m.ends();
+          const uint64_t values = m.values();
+          fields += std::popcount(ends);
+          if (ends != 0) {
+            has_end = true;
+            tail = std::popcount(values & ~BitsBelow(HighestBit(ends) + 1));
+          } else {
+            tail += std::popcount(values);
+          }
+          // A record delimiter takes precedence over a field bit.
+          uint64_t field_delims = m.field & ~m.record;
+          uint64_t records = m.record;
+          while (true) {
+            const uint64_t before =
+                records != 0 ? BitsBelow(std::countr_zero(records))
+                             : ~uint64_t{0};
+            uint64_t segment = field_delims & before;
+            field_delims &= ~before;
+            if (segment != 0) {
+              const uint32_t k = static_cast<uint32_t>(std::popcount(segment));
+              if (chunk_violation_rec[c] < 0 &&
+                  static_cast<uint64_t>(col) + k >= column_limit) {
+                // The violation is the first delimiter whose column
+                // reaches the limit: drop the delimiters before it.
+                for (uint32_t skip =
+                         column_limit > col ? column_limit - col - 1 : 0;
+                     skip > 0; --skip) {
+                  segment &= segment - 1;
+                }
+                chunk_violation_rec[c] = rec;
+                chunk_violation_pos[c] =
+                    static_cast<int64_t>(base) + std::countr_zero(segment);
+              }
+              col += k;
+            }
+            if (records == 0) break;
+            state->record_column_counts[rec] = col + 1;
+            max_col = std::max(max_col, col);
+            ++rec;
+            col = 0;
+            records &= records - 1;
+          }
+        });
+    max_col = std::max(max_col, col);
     if (c == num_chunks - 1 && state->has_trailing_record) {
       state->record_column_counts[rec] = col + 1;
-      max_col = std::max(max_col, col);
+      // The trailing unterminated record's final field ends at EOF.
+      ++fields;
     }
     chunk_max_col[c] = max_col;
+    sizing.chunk_fields[c] = fields;
+    sizing.chunk_tail_data[c] = tail;
+    sizing.chunk_has_end[c] = has_end ? 1 : 0;
   }));
   int64_t violation_rec = -1;
   int64_t violation_pos = -1;
@@ -461,7 +502,7 @@ Status TagStep::Run(PipelineState* state, StepTimings* timings) {
   state->transpose_mode = EffectiveTransposeMode(options);
   if (state->transpose_mode == TransposeMode::kFieldGather) {
     return RunFieldGatherTag(state, timings, skip_lookup, max_col_index,
-                             &watch, &span);
+                             sizing, &watch, &span);
   }
   state->gather_extents.clear();
   state->gather_entries.clear();

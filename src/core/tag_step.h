@@ -14,7 +14,9 @@ namespace parparaw {
 ///  1. *Count pass*: derives every record's column count (field delimiters
 ///     + 1), feeding column-count inference/validation and the reject
 ///     policy (§4.3); also finds the maximum column index (partition
-///     count).
+///     count) and sizes the kFieldGather extents. It reads the indexes 64
+///     symbols per mask block (dfa/flag_masks.h), counting delimiters with
+///     popcount.
 ///  2. *Drop resolution*: merges skip_records and the column-count policy
 ///     into per-record drop flags; an exclusive prefix sum maps kept
 ///     records to output rows.
@@ -27,10 +29,12 @@ namespace parparaw {
 ///     (kVectorDelimited).
 ///
 /// Passes 3-4 describe TransposeMode::kSymbolSort. Under the default
-/// kFieldGather the step instead derives one FieldExtent per field (the
-/// same count + exclusive-scan + fill structure, but over O(fields) units)
-/// and leaves css/col_tags/rec_tags/field_end empty — the partition step
-/// builds the CSS from the extents. A record tagging more than
+/// kFieldGather the step instead derives one FieldExtent per field: an
+/// exclusive scan of the count pass's per-chunk field counts, then a fill
+/// pass that walks the set bits of each block's end mask and takes every
+/// length from a popcount of the value bits. css/col_tags/rec_tags/
+/// field_end stay empty — the partition step builds the CSS from the
+/// extents. A record tagging more than
 /// ParseOptions::max_record_columns columns fails the parse with a
 /// ParseError carrying the record's byte span (both modes).
 ///

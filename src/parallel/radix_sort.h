@@ -50,9 +50,12 @@ Status StableRadixSortWithHistogram(ThreadPool* pool,
                                     const RadixSortOptions& options = {});
 
 /// \brief Gathers `in` through `permutation`: out[i] = in[permutation[i]].
-template <typename T>
+/// Every slot of `out` is written, so a WriteOnceVector output is not
+/// filled first.
+template <typename T, typename Alloc>
 void ApplyPermutation(ThreadPool* pool, const std::vector<uint32_t>& permutation,
-                      const std::vector<T>& in, std::vector<T>* out) {
+                      const std::vector<T, Alloc>& in,
+                      std::vector<T, Alloc>* out) {
   out->resize(permutation.size());
   T* out_data = out->data();
   const T* in_data = in.data();

@@ -1,7 +1,9 @@
 #include "simd/simd_kernels.h"
 
+#include <bit>
 #include <cstring>
 
+#include "dfa/flag_masks.h"
 #include "simd/kernel_common.h"
 
 namespace parparaw::simd {
@@ -192,16 +194,20 @@ FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
 FlagWalkResult CountEmittedFlags(const uint8_t* flags, size_t begin,
                                  size_t end) {
   FlagWalkResult result;
-  for (size_t i = begin; i < end; ++i) {
-    const uint8_t f = flags[i];
-    if (f & kSymbolRecordDelimiter) {
-      ++result.records;
-      result.fields_since_record = 0;
+  ForEachFlagBlock(flags, begin, end, [&](size_t, const FlagMasks& m) {
+    // A record delimiter takes precedence over a field bit on the same
+    // byte, exactly as in WalkEmitFlags.
+    const uint64_t fields = m.field & ~m.record;
+    if (m.record != 0) {
+      result.records += static_cast<uint32_t>(std::popcount(m.record));
+      result.fields_since_record = static_cast<uint32_t>(
+          std::popcount(fields & ~BitsBelow(HighestBit(m.record) + 1)));
       result.saw_record_delimiter = true;
-    } else if (f & kSymbolFieldDelimiter) {
-      ++result.fields_since_record;
+    } else {
+      result.fields_since_record +=
+          static_cast<uint32_t>(std::popcount(fields));
     }
-  }
+  });
   return result;
 }
 

@@ -114,8 +114,8 @@ FlagWalkResult WalkEmitFlags(const KernelPlan& plan, const uint8_t* data,
                              uint8_t* flags_out);
 
 /// Counts record/field delimiters from already-emitted flags over
-/// [begin, end) (the verified speculative region); end_state is not
-/// meaningful in the result.
+/// [begin, end) (the verified speculative region), 64 flag bytes per mask
+/// block (dfa/flag_masks.h); end_state is not meaningful in the result.
 FlagWalkResult CountEmittedFlags(const uint8_t* flags, size_t begin,
                                  size_t end);
 

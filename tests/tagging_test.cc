@@ -114,6 +114,59 @@ TEST(TagStepTest, VectorDelimitedModeKeepsDelimiterBytes) {
   EXPECT_EQ(marks, 3);
 }
 
+// Runs the tag step in the inline-terminated mode over `input` with the
+// default terminator (0x1F) and returns its status.
+Status TagInlineTerminated(const std::string& input, TransposeMode mode,
+                           size_t chunk_size,
+                           std::vector<int> skip_columns = {},
+                           std::vector<int64_t> skip_records = {},
+                           ColumnCountPolicy policy =
+                               ColumnCountPolicy::kRobust) {
+  ParseOptions options;
+  options.tagging_mode = TaggingMode::kInlineTerminated;
+  options.transpose_mode = mode;
+  options.chunk_size = chunk_size;
+  options.skip_columns = std::move(skip_columns);
+  options.skip_records = std::move(skip_records);
+  options.column_count_policy = policy;
+  auto h = StepHarness::Make(input, options);
+  return h->RunThroughTagging();
+}
+
+// The collision check follows each field across chunk boundaries and
+// applies the same keep decision as the emission: a terminator byte in a
+// kept field fails the parse wherever the chunk boundaries fall, one in a
+// skipped column or a dropped record does not.
+void ExpectTerminatorCollisionsFollowFields(TransposeMode mode) {
+  // Field 1 ("bcdefgh", bytes 2..8) spans several chunks; bytes 3, 6 and 8
+  // sit in its first, a middle and its last chunk for chunk sizes 3..5.
+  for (size_t pos : {2u, 3u, 6u, 8u}) {
+    std::string input = "a,bcdefgh,i\nj,k,l\n";
+    input[pos] = 0x1F;
+    for (size_t chunk : {1u, 2u, 3u, 4u, 5u, 64u}) {
+      const std::string context =
+          "pos=" + std::to_string(pos) + " chunk=" + std::to_string(chunk);
+      const Status kept = TagInlineTerminated(input, mode, chunk);
+      EXPECT_FALSE(kept.ok()) << context;
+      EXPECT_EQ(kept.code(), StatusCode::kParseError) << context;
+      EXPECT_TRUE(TagInlineTerminated(input, mode, chunk, {1}).ok())
+          << context;
+      EXPECT_TRUE(TagInlineTerminated(input, mode, chunk, {}, {0}).ok())
+          << context;
+    }
+  }
+  // A record dropped by the column-count policy: record 1 has one column
+  // where two are expected.
+  const std::string ragged = "a,b\n\x1F\nc,d\n";
+  for (size_t chunk : {1u, 2u, 64u}) {
+    EXPECT_FALSE(TagInlineTerminated(ragged, mode, chunk).ok()) << chunk;
+    EXPECT_TRUE(TagInlineTerminated(ragged, mode, chunk, {}, {},
+                                    ColumnCountPolicy::kReject)
+                    .ok())
+        << chunk;
+  }
+}
+
 TEST(TagStepTest, InlineModeDetectsTerminatorCollision) {
   std::string input = "a,b\n";
   input[0] = 0x1F;  // the default terminator as field data
@@ -123,6 +176,7 @@ TEST(TagStepTest, InlineModeDetectsTerminatorCollision) {
   const Status st = h->RunThroughTagging();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kParseError);
+  ExpectTerminatorCollisionsFollowFields(TransposeMode::kSymbolSort);
 }
 
 TEST(TagStepTest, RaggedRecordsCountsAndPartitions) {
@@ -350,6 +404,7 @@ TEST(FieldGatherTest, InlineModeDetectsTerminatorCollision) {
   const Status st = h->RunThroughTagging();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kParseError);
+  ExpectTerminatorCollisionsFollowFields(TransposeMode::kFieldGather);
 }
 
 // Satellite: adversarial delimiter-dense records must fail with a bounded
@@ -371,6 +426,62 @@ TEST(TagStepTest, MaxRecordColumnsRejectsAdversarialRow) {
     EXPECT_NE(st.message().find("bytes 7..70"), std::string::npos)
         << st.message();
   }
+}
+
+// The full max_record_columns error for a record and its byte span.
+std::string MaxColumnsError(int64_t record, int64_t begin, int64_t end,
+                            uint32_t limit) {
+  return "record " + std::to_string(record) + " (bytes " +
+         std::to_string(begin) + ".." + std::to_string(end) +
+         ") has more than " + std::to_string(limit) +
+         " columns (ParseOptions::max_record_columns); raise the limit for "
+         "genuinely wide data";
+}
+
+// Both transpose modes, at chunk sizes that put the crossing delimiter at
+// different mask-block and chunk positions, report the same text.
+void ExpectMaxColumnsError(const std::string& input, uint32_t limit,
+                           const std::string& want) {
+  for (TransposeMode mode :
+       {TransposeMode::kSymbolSort, TransposeMode::kFieldGather}) {
+    for (size_t chunk : {1u, 2u, 3u, 4u, 5u, 63u, 64u, 65u, 2048u}) {
+      ParseOptions options;
+      options.max_record_columns = limit;
+      options.transpose_mode = mode;
+      options.chunk_size = chunk;
+      auto h = StepHarness::Make(input, options);
+      const Status st = h->RunThroughTagging();
+      ASSERT_FALSE(st.ok()) << "chunk=" << chunk;
+      EXPECT_EQ(st.code(), StatusCode::kParseError);
+      EXPECT_EQ(st.message(), want) << "chunk=" << chunk;
+    }
+  }
+}
+
+TEST(TagStepTest, MaxRecordColumnsCrossedMidWord) {
+  // Record 1 spans bytes 7..27; its 8th comma (column 8) is byte 14.
+  ExpectMaxColumnsError("ok,row\n" + std::string(20, ',') + "\nnext,r\n", 8,
+                        MaxColumnsError(1, 7, 27, 8));
+}
+
+TEST(TagStepTest, MaxRecordColumnsCrossedAtWordEdges) {
+  // Record 1's 8th comma is byte 64: bit 0 of the second mask block (and of
+  // the first block of chunk 1 at chunk size 64).
+  ExpectMaxColumnsError(std::string(56, 'x') + "\n" + std::string(8, ',') +
+                            "y\n",
+                        8, MaxColumnsError(1, 57, 66, 8));
+  // ... and byte 63: the last bit of the first block.
+  ExpectMaxColumnsError(std::string(55, 'x') + "\n" + std::string(8, ',') +
+                            "y\n",
+                        8, MaxColumnsError(1, 56, 65, 8));
+}
+
+TEST(TagStepTest, MaxRecordColumnsChunkEnteredPastLimit) {
+  // Record 1 (bytes 4..16) has 12 commas; at small chunk sizes later
+  // chunks are entered with the column already at or past the limit of 4,
+  // and the earliest crossing (byte 7) still decides the report.
+  ExpectMaxColumnsError("a,b\n" + std::string(12, ',') + "\nc\n", 4,
+                        MaxColumnsError(1, 4, 16, 4));
 }
 
 TEST(TagStepTest, MaxRecordColumnsAllowsLimitExactly) {
